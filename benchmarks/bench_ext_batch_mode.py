@@ -12,8 +12,8 @@ import numpy as np
 
 from _common import bench_config, bench_seed, bench_tasks, bench_trials, emit
 from repro.extensions.batch_mode import run_batch_trial
-from repro.filters.chain import make_filter_chain
-from repro.heuristics.registry import make_heuristic
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro import rng as rng_mod
 from repro.sim.engine import run_trial
 from repro.sim.system import build_trial_system
@@ -31,18 +31,18 @@ def run_comparison() -> dict[str, float]:
     for trial in range(trials):
         seed = rng_mod.spawn_trial_seed(bench_seed(), trial)
         system = build_trial_system(config.with_seed(seed))
-        chain = make_filter_chain("en+rob", config.filters)
+        chain = build_filter_chain("en+rob", config.filters)
         misses["MECT/en+rob (immediate)"].append(
-            run_trial(system, make_heuristic("MECT"), chain).missed
+            run_trial(system, build_heuristic("MECT"), chain).missed
         )
         misses["LL/en+rob (immediate)"].append(
-            run_trial(system, make_heuristic("LL"), chain).missed
+            run_trial(system, build_heuristic("LL"), chain).missed
         )
         misses["Min-Min/en+rob (batch)"].append(
-            run_batch_trial(system, "min-min", make_filter_chain("en+rob", config.filters)).missed
+            run_batch_trial(system, "min-min", build_filter_chain("en+rob", config.filters)).missed
         )
         misses["Max-Min/en+rob (batch)"].append(
-            run_batch_trial(system, "max-min", make_filter_chain("en+rob", config.filters)).missed
+            run_batch_trial(system, "max-min", build_filter_chain("en+rob", config.filters)).missed
         )
     rows = {name: float(np.median(vals)) for name, vals in misses.items()}
     lines = [

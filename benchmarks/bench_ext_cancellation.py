@@ -15,8 +15,8 @@ import numpy as np
 from _common import bench_config, bench_seed, bench_tasks, bench_trials, emit
 from repro import rng as rng_mod
 from repro.extensions.cancellation import AbandonHopelessPolicy
-from repro.filters.chain import make_filter_chain
-from repro.heuristics.registry import make_heuristic
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro.sim.engine import run_trial
 from repro.sim.system import build_trial_system
 
@@ -38,8 +38,8 @@ def run_comparison() -> dict[str, float]:
                 system,
                 # Same stream key for every threshold: all variants see
                 # identical random assignment draws (paired comparison).
-                make_heuristic("Random", rng_mod.stream(seed, "cancel-bench")),
-                make_filter_chain("none", config.filters),
+                build_heuristic("Random", rng_mod.stream(seed, "cancel-bench")),
+                build_filter_chain("none", config.filters),
                 hooks=hooks,
             )
             misses.setdefault(label, []).append(result.missed)

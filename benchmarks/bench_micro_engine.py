@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import SimulationConfig, build_trial_system
-from repro.filters.chain import make_filter_chain
+from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.sim.engine import run_trial
-from repro.sim.mapper import CandidateBuilder, build_candidate_set
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState
 
 from _common import bench_seed
@@ -30,25 +30,11 @@ def test_full_trial_ll_filtered(benchmark):
     system = small_system()
 
     def run():
-        return run_trial(system, LightestLoad(), make_filter_chain("en+rob"))
+        return run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.num_tasks == 150
     benchmark.extra_info["missed"] = result.missed
-
-
-def test_candidate_build_event(benchmark):
-    system = small_system()
-    cluster = system.cluster
-    dt = system.config.grid.dt
-    cores = [
-        CoreState(cid, int(cluster.core_node_index[cid]), dt)
-        for cid in range(cluster.num_cores)
-    ]
-    task = system.workload.tasks[0]
-
-    cands = benchmark(build_candidate_set, task, cores, system.table, task.arrival)
-    assert len(cands) == cluster.num_cores * cluster.num_pstates
 
 
 def test_system_build(benchmark):

@@ -1,22 +1,21 @@
 """Benchmark the compiled kernel backends; write ``BENCH_kernels.json``.
 
 Measures, for every backend available in this environment (always
-``numpy``; ``numba``/``cext`` when loadable):
+``numpy``; ``cext`` when a C compiler works):
 
 * per-kernel microbenchmarks through the public ops — convolution,
   uncached tail truncation, ``prob_sum_at_most``,
   ``expectation_of_sum`` and the :class:`~repro.sim.mapper.
   CandidateBuilder` batched prob-on-time pass — so the numbers include
   dispatch overhead, not just raw loop speed;
-* one-time warm-up cost (JIT compile / C build) from
+* one-time warm-up cost (the C build) from
   :func:`repro.perf.kernels.describe_backends`, amortization noted as
   warm-up seconds per end-to-end second saved;
-* end-to-end trials on the Fig. 2 workload, one per heuristic, three
-  rungs each — perf layer fully off, cached numpy (the PR-5 baseline),
-  cached + compiled — reporting speedups against both rungs.
+* end-to-end trials on the Fig. 2 workload, one per heuristic, on the
+  numpy backend and on each compiled backend, reporting the speedup.
 
 The gate (CI smoke): when a compiled backend is available, its
-end-to-end time must not be slower than the cached-numpy baseline
+end-to-end time must not be slower than the numpy backend
 (``--min-ratio``, default 1.0).  Trial results are compared against the
 numpy path and reported; discrete divergence is allowed only as exact-
 tie reordering (see tests/perf/conftest.py) and flagged in the report.
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
         "--min-ratio",
         type=float,
         default=1.0,
-        help="fail when compiled/cached-numpy end-to-end speedup falls below this",
+        help="fail when the compiled/numpy end-to-end speedup falls below this",
     )
     parser.add_argument(
         "--smoke",
@@ -189,25 +188,18 @@ def main(argv=None) -> int:
     baselines = {}
     for heuristic in args.heuristics:
         spec = VariantSpec(heuristic, args.filters)
-        uncached_s, ref_result = bench_trial(
-            system, spec, PerfConfig.disabled(), args.reps
+        numpy_s, ref_result = bench_trial(
+            system, spec, PerfConfig(backend="numpy"), args.reps
         )
-        cached_s, cached_result = bench_trial(system, spec, PerfConfig(), args.reps)
-        assert cached_result == ref_result, "cache layer must stay results-neutral"
-        baselines[spec.label] = (uncached_s, cached_s, ref_result)
+        baselines[spec.label] = (numpy_s, ref_result)
         trials[spec.label] = {
-            "uncached_s": round(uncached_s, 4),
-            "cached_numpy_s": round(cached_s, 4),
-            "cached_speedup": round(uncached_s / cached_s, 3),
+            "numpy_s": round(numpy_s, 4),
             "missed": ref_result.missed,
             "backends": {},
         }
-        print(
-            f"  {spec.label:>14}: off {uncached_s:.3f}s  "
-            f"cached {cached_s:.3f}s ({uncached_s / cached_s:.2f}x)"
-        )
+        print(f"  {spec.label:>14}: numpy {numpy_s:.3f}s")
 
-    for name in ("numpy", "numba", "cext"):
+    for name in ("numpy", "cext"):
         entry = dict(catalog[name])
         if name not in backends:
             report_backends[name] = entry
@@ -220,33 +212,31 @@ def main(argv=None) -> int:
             continue
         for heuristic in args.heuristics:
             spec = VariantSpec(heuristic, args.filters)
-            uncached_s, cached_s, ref_result = baselines[spec.label]
+            numpy_s, ref_result = baselines[spec.label]
             trial_s, result = bench_trial(
                 system, spec, PerfConfig(backend=name), args.reps
             )
             same = _same_decisions(result, ref_result)
             trials[spec.label]["backends"][name] = {
                 "compiled_s": round(trial_s, 4),
-                "speedup_vs_uncached": round(uncached_s / trial_s, 3),
-                "speedup_vs_cached": round(cached_s / trial_s, 3),
+                "speedup_vs_numpy": round(numpy_s / trial_s, 3),
                 "missed": result.missed,
                 "decisions_identical": same,
                 "warmup_per_saved_s": round(
-                    entry["warmup_s"] / max(cached_s - trial_s, 1e-9), 2
+                    entry["warmup_s"] / max(numpy_s - trial_s, 1e-9), 2
                 )
                 if entry["warmup_s"]
                 else 0.0,
             }
             print(
                 f"  {spec.label:>14} +{name}: {trial_s:.3f}s  "
-                f"({uncached_s / trial_s:.2f}x vs off, "
-                f"{cached_s / trial_s:.2f}x vs cached)  "
+                f"({numpy_s / trial_s:.2f}x vs numpy)  "
                 f"missed {result.missed}/{ref_result.missed}  "
                 f"decisions_identical={same}"
             )
-            if cached_s / trial_s < args.min_ratio:
+            if numpy_s / trial_s < args.min_ratio:
                 gate_failures.append(
-                    f"{name} {spec.label}: {cached_s / trial_s:.3f}x vs cached "
+                    f"{name} {spec.label}: {numpy_s / trial_s:.3f}x vs numpy "
                     f"< {args.min_ratio}x"
                 )
 
@@ -277,7 +267,7 @@ def main(argv=None) -> int:
         return 1
     compiled = [n for n in backends if n != "numpy"]
     if compiled:
-        print(f"OK: compiled backends {', '.join(compiled)} beat the cached baseline")
+        print(f"OK: compiled backends {', '.join(compiled)} beat the numpy backend")
     else:
         print("OK: no compiled backend available here; numpy reference path measured")
     return 0

@@ -30,21 +30,12 @@ The facade groups five things:
   mode) and :func:`budget_sweep` (the energy-tightness sweep).  All
   accept the observability collectors (:class:`MetricsRegistry`,
   :class:`SpanProfile`, :class:`TimelineSet`, event sinks) and the
-  results-neutral :class:`PerfConfig` performance knobs.
+  :class:`PerfConfig` kernel-backend selection.
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
   :class:`SimulationConfig`, for scripts that construct custom
   workloads or distributions.
-
-Deprecated entry points (kept as warning shims for one release):
-``make_heuristic`` / ``make_filter_chain`` (use :func:`build_heuristic`
-/ :func:`build_filter_chain` or the registries),
-``repro.experiments.runner.run_trial_variant`` (build a
-:class:`TrialPlan`), ``repro.sim.mapper.build_candidates`` (use
-:func:`repro.sim.mapper.build_candidate_set`) and
-``repro.obs.hooks.run_observed_trial`` (use
-:func:`repro.obs.hooks.observe_trial`).
 """
 
 from __future__ import annotations
@@ -74,9 +65,8 @@ from repro.filters.chain import (
     FilterChain,
     build_filter_chain,
     canonical_variant,
-    make_filter_chain,
 )
-from repro.heuristics.registry import HEURISTICS, build_heuristic, make_heuristic
+from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
     ADMISSION_PLUGINS,
     FILTER_PLUGINS,
@@ -138,8 +128,6 @@ __all__ = [
     "build_heuristic",
     "build_filter_chain",
     "canonical_variant",
-    "make_heuristic",
-    "make_filter_chain",
     "FilterChain",
     "SimulationConfig",
     "build_trial_system",
@@ -229,9 +217,10 @@ def run_trial(
     the scenario builds its own.  When reusing a system across
     scenarios, a single :class:`TrialCache` passed as ``shared`` lets
     later runs reuse the kernel cache and mapper tables the first run
-    warmed.  Observability collectors, the ``perf`` knobs and
-    ``shared`` are results-neutral: the returned :class:`TrialResult`
-    is bitwise identical for any combination.
+    warmed.  Observability collectors and ``shared`` are
+    results-neutral: the returned :class:`TrialResult` is bitwise
+    identical for any combination.  ``perf`` selects the kernel
+    backend (numpy by default, which defines the digests).
 
     ``faults`` injects an in-simulation :class:`FaultSchedule` (node or
     core outages, slowdowns) with recovery behavior set by
@@ -282,8 +271,7 @@ def run_service(
     quantiles, SLO rules, online steady-state detection); the inert
     default keeps the run bitwise identical to an untelemetered one.
 
-    ``perf`` selects the hot-path performance knobs
-    (:class:`PerfConfig`, including the compiled kernel ``backend``).
+    ``perf`` selects the kernel backend (:class:`PerfConfig`).
     """
     if service is None:
         service = ServiceConfig(traffic="replay")

@@ -355,9 +355,9 @@ def _perf_parent() -> argparse.ArgumentParser:
         choices=BACKEND_CHOICES,
         default=None,
         help="kernel backend for the stochastic hot path: numpy (reference, "
-        "default), numba/cext (compiled, opt-in; warns and falls back when "
-        "unavailable) or auto (fastest available); env override: "
-        "REPRO_PERF_BACKEND",
+        "default), cext (compiled, opt-in; warns and falls back when no C "
+        "compiler works) or auto (cext if available, else numpy); env "
+        "override: REPRO_PERF_BACKEND",
     )
     return parent
 

@@ -120,8 +120,8 @@ def run_sweep(
         the whole sweep (points are distinguishable by span stream
         labels and timeline labels).
     perf:
-        Hot-path performance knobs forwarded to every trial
-        (results-neutral; see :mod:`repro.perf`).
+        Kernel backend selection forwarded to every trial (see
+        :mod:`repro.perf`).
     """
     if not values:
         raise ValueError("need at least one sweep value")

@@ -23,7 +23,6 @@ from repro.filters.chain import (
     VARIANTS,
     build_filter_chain,
     canonical_variant,
-    make_filter_chain,
 )
 
 __all__ = [
@@ -34,5 +33,4 @@ __all__ = [
     "VARIANTS",
     "build_filter_chain",
     "canonical_variant",
-    "make_filter_chain",
 ]

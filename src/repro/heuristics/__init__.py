@@ -20,7 +20,7 @@ from repro.heuristics.shortest_queue import ShortestQueue
 from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.random_heuristic import RandomAssignment
-from repro.heuristics.registry import HEURISTICS, build_heuristic, make_heuristic
+from repro.heuristics.registry import HEURISTICS, build_heuristic
 
 __all__ = [
     "Assignment",
@@ -33,5 +33,4 @@ __all__ = [
     "RandomAssignment",
     "HEURISTICS",
     "build_heuristic",
-    "make_heuristic",
 ]

@@ -16,8 +16,6 @@ on ``HEURISTIC_PLUGINS`` lists everything currently registered.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.heuristics.base import Heuristic
@@ -27,7 +25,7 @@ from repro.heuristics.random_heuristic import RandomAssignment
 from repro.heuristics.shortest_queue import ShortestQueue
 from repro.registry import HEURISTIC_PLUGINS, register_heuristic
 
-__all__ = ["HEURISTICS", "build_heuristic", "make_heuristic"]
+__all__ = ["HEURISTICS", "build_heuristic"]
 
 #: Canonical heuristic names in the paper's presentation order.
 HEURISTICS: tuple[str, ...] = ("SQ", "MECT", "LL", "Random")
@@ -69,18 +67,3 @@ def build_heuristic(name: str, rng: np.random.Generator | None = None) -> Heuris
     """
     return HEURISTIC_PLUGINS.create(name, rng)
 
-
-def make_heuristic(name: str, rng: np.random.Generator | None = None) -> Heuristic:
-    """Deprecated pre-registry constructor; use :func:`build_heuristic`.
-
-    Kept (one release) for scripts written against the hand-wired
-    constructor; the registry path is semantically identical, so results
-    are bitwise unchanged.
-    """
-    warnings.warn(
-        "repro.heuristics.registry.make_heuristic is deprecated; use "
-        "build_heuristic (or repro.registry.HEURISTIC_PLUGINS.create)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_heuristic(name, rng)

@@ -15,16 +15,12 @@ event handlers via the ``tracer`` hook — all strictly opt-in.  It holds
 the engine instance itself (rather than going through the
 ``run_trial`` convenience wrapper) so the kernel cache's final counters
 can be folded into the metrics registry after the run.
-
-:func:`run_observed_trial` is the deprecated pre-facade name of
-:func:`observe_trial` and will be removed after one release.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from typing import Sequence
 
 from repro.filters.chain import FilterChain
@@ -64,7 +60,6 @@ __all__ = [
     "TimedHeuristic",
     "TimedFilterChain",
     "observe_trial",
-    "run_observed_trial",
 ]
 
 
@@ -315,9 +310,8 @@ def observe_trial(
     heuristic without touching its choices, and span/timeline recording
     reads state it never mutates — so results are bitwise equal with
     tracing, metrics, profiling and timelines on or off, in any
-    combination.  The same holds for ``perf`` (see :mod:`repro.perf`):
-    the knobs only change how fast the result is computed, and the
-    kernel cache's final counters are summarized into ``perf.cache.*``
+    combination.  The kernel cache's final counters are summarized into
+    ``perf.cache.*``
     metrics (the per-lookup ``stoch.ops.cache_*`` counters stream in
     live through the op observer).
 
@@ -367,7 +361,7 @@ def observe_trial(
             result = engine.run()
         hooks.trial_finished(result)
         stats = engine.kernel_cache_stats()
-        if metrics is not None and stats is not None:
+        if metrics is not None:
             label = f"{heuristic.name}/{filter_chain.label}"
             for counter, value in (
                 ("hits", stats.hits),
@@ -382,30 +376,3 @@ def observe_trial(
         if metrics is not None:
             set_op_observer(previous_observer)
 
-
-def run_observed_trial(
-    system: TrialSystem,
-    heuristic: Heuristic,
-    filter_chain: FilterChain,
-    *,
-    sinks: Sequence[EventSink] = (),
-    metrics: MetricsRegistry | None = None,
-    profile: SpanRecorder | None = None,
-    timeline: TimelineRecorder | None = None,
-) -> TrialResult:
-    """Deprecated pre-facade name of :func:`observe_trial`."""
-    warnings.warn(
-        "repro.obs.hooks.run_observed_trial is deprecated; use "
-        "repro.obs.hooks.observe_trial (or the repro.api facade)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return observe_trial(
-        system,
-        heuristic,
-        filter_chain,
-        sinks=sinks,
-        metrics=metrics,
-        profile=profile,
-        timeline=timeline,
-    )

@@ -1,38 +1,30 @@
 """repro.perf — the hot-path performance layer.
 
-Two mechanisms, both strictly results-neutral (bitwise-identical
-trial results and manifest digests with the layer on or off):
+One path, always on, strictly results-neutral (bitwise-identical trial
+results and manifest digests to the reference computations the tests
+keep under ``tests/perf``):
 
 * a **content-addressed kernel cache** (:class:`KernelCache`) interning
-  the results of pmf convolutions and truncations, installed into
-  :mod:`repro.stoch.ops` for the duration of one engine run;
+  the results of pmf truncations, installed into :mod:`repro.stoch.ops`
+  for the duration of one engine run;
 * the **vectorized candidate builder**
   (:class:`~repro.sim.mapper.CandidateBuilder`), which assembles the
   whole per-arrival :class:`~repro.heuristics.base.CandidateSet` with
-  batched array ops and per-ready-pmf deduplication.
-
-At ensemble scale two more mechanisms ride on the same contract:
-
+  batched array ops and per-ready-pmf deduplication;
 * a **trial-scoped warm cache** (:class:`TrialCache`) sharing the
   kernel cache and the builder's type tables across every spec of a
-  trial (all specs run the same :class:`~repro.sim.system.TrialSystem`);
-* **batched table construction** (``PerfConfig.batch_table``): the
-  per-trial :class:`~repro.workload.pmf_table.ExecutionTimeTable` is
-  discretized through one vectorized gamma-CDF pass.
+  trial (all specs run the same :class:`~repro.sim.system.TrialSystem`).
 
-A fifth mechanism is *opt-in* and sits under a documented ≤1e-12
-tolerance instead of bitwise identity: **compiled kernel backends**
-(:mod:`repro.perf.kernels`, ``PerfConfig.backend``) replace the
+The one selectable knob, :class:`PerfConfig`'s ``backend``, sits under
+a documented ≤1e-12 tolerance instead of bitwise identity: the
+**compiled kernel backend** (:mod:`repro.perf.kernels`) replaces the
 stochastic hot kernels — convolution, tail truncation, the
-``prob_sum_at_most`` dot, the mapper's batched prob-on-time rows —
-with numba- or C-compiled loops.  The numpy reference path remains the
-default and always available; digests and manifests are always defined
-by it.
+``prob_sum_at_most`` dot, the mapper's batched prob-on-time rows — with
+C-compiled loops.  The numpy path remains the default and always
+available; digests and manifests are always defined by it.
 
-:class:`PerfConfig` selects all of them; the engine defaults to
-everything on except compiled backends.  ``PerfConfig.disabled()`` is
-the reference configuration used by the parity tests and as the
-baseline of ``BENCH_perf.json`` / ``BENCH_ensemble.json``.
+Measurements live in the repository benchmark (``BENCHMARK.json``,
+``perfbench/``).
 """
 
 from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig

@@ -21,8 +21,10 @@ the result array is the renormalized tail ``probs[k:]`` and the start
 is ``pmf.start + k * dt`` — so the key is ``(digest(probs), k)``, not
 the wall-clock cut time.
 
-The cache is bounded (LRU by access order) and purely local to one
-engine run; eviction only ever costs recomputation, never correctness.
+The cache is bounded (LRU by access order) and scoped to one trial (a
+private cache per engine, or one :class:`~repro.perf.TrialCache` shared
+by the specs of a trial); eviction only ever costs recomputation, never
+correctness.
 
 Counters (hits / misses / evictions) are reported two ways: locally via
 :meth:`KernelCache.stats`, and through the
@@ -235,84 +237,39 @@ class KernelCache:
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Knobs of the hot-path performance layer.
+    """The one knob of the hot-path performance layer.
 
-    Every knob except ``backend`` is *results-neutral*: the engine
-    produces bitwise identical
-    :class:`~repro.sim.results.TrialResult`s (and therefore identical
-    manifest digests) for any combination, enforced by
-    ``tests/perf/test_parity.py``.  The knobs only trade memory for
-    speed.  ``backend`` is the one documented exception: compiled
-    backends agree with the numpy reference to ≤1e-12 (see
-    :mod:`repro.perf.kernels`), which is why it defaults to
-    ``"numpy"`` and digests are always defined by the numpy path.
+    The kernel cache and the vectorized candidate builder are always
+    on; what remains selectable is which kernel implementation runs
+    them.  Compiled backends agree with the numpy path to ≤1e-12 (see
+    :mod:`repro.perf.kernels`), which is why ``backend`` defaults to
+    ``"numpy"`` and digests are always defined by the numpy path.  Not
+    part of :class:`~repro.config.SimulationConfig`, so manifest and
+    config digests are independent of how the run was computed.
 
     Attributes
     ----------
-    kernel_cache:
-        Intern convolution/truncation kernels for the run (one private
-        cache per engine unless ``warm_cache`` shares it; nothing ever
-        leaks across trials).
-    batch_mapper:
-        Use the vectorized :class:`~repro.sim.mapper.CandidateBuilder`
-        instead of the reference per-core loop.
-    max_entries:
-        Kernel-cache capacity (LRU past it).
-    warm_cache:
-        Share one kernel cache and one ``CandidateBuilder`` type-table
-        cache across every spec of a trial (via
-        :class:`~repro.perf.trial_cache.TrialCache`): all 16 specs run
-        against the same :class:`~repro.sim.system.TrialSystem`, so the
-        interned truncation tails seeded by the first spec are hits for
-        the rest.  Scope is one trial in one worker — trials never share.
-    batch_table:
-        Build the per-trial
-        :class:`~repro.workload.pmf_table.ExecutionTimeTable` through
-        one vectorized gamma-CDF pass instead of a per-cell scipy loop.
     backend:
-        Which kernel implementation executes the stochastic hot path:
-        ``"numpy"`` (the reference, default), ``"numba"`` / ``"cext"``
-        (compiled, opt-in, warn-and-fall-back when unavailable) or
-        ``"auto"`` (fastest available, silent fallback).  The default
-        honours the ``REPRO_PERF_BACKEND`` environment override so
-        deployments can opt in without touching call sites.
+        ``"numpy"`` (the default), ``"cext"`` (compiled, opt-in,
+        warn-and-fall-back when unavailable) or ``"auto"`` (cext when a
+        compiler works, else numpy, silently).  The default honours the
+        ``REPRO_PERF_BACKEND`` environment override so deployments can
+        opt in without touching call sites.
     """
 
-    kernel_cache: bool = True
-    batch_mapper: bool = True
-    max_entries: int = 65536
-    warm_cache: bool = True
-    batch_table: bool = True
     backend: str = field(default_factory=default_backend_name)
 
     def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be positive")
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 f"unknown kernel backend {self.backend!r}; "
                 f"choose from {BACKEND_CHOICES}"
             )
 
-    @staticmethod
-    def disabled() -> "PerfConfig":
-        """The reference configuration: no cache, no batch paths, numpy."""
-        return PerfConfig(
-            kernel_cache=False,
-            batch_mapper=False,
-            warm_cache=False,
-            batch_table=False,
-            backend="numpy",
-        )
-
-    def make_cache(self) -> KernelCache | None:
-        """Build the engine's kernel cache (``None`` when disabled)."""
-        return KernelCache(self.max_entries) if self.kernel_cache else None
-
     def make_backend(self) -> KernelBackend | None:
         """Resolve the configured kernel backend (``None`` = numpy path).
 
-        Warns and falls back to the reference path when an explicitly
+        Warns and falls back to the numpy path when an explicitly
         requested compiled backend cannot be loaded; ``"auto"`` probes
         silently.  Resolution is cached per process, so this is cheap
         to call once per engine.

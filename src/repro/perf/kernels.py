@@ -12,19 +12,14 @@ and always available:
     numpy code, bitwise-reproducible across machines.  Resolves to
     ``None`` — no dispatch object is installed at all, so the default
     configuration costs nothing.
-``"numba"``
-    ``@njit``-compiled kernels (:mod:`repro.perf._numba_backend`).
-    Requires the optional ``repro[perf]`` extra; auto-detected at
-    import, never a hard dependency.
 ``"cext"``
     A small C kernel library compiled on demand with the system C
     compiler and bound through :mod:`ctypes`
-    (:mod:`repro.perf._cext_backend`).  Covers environments where numba
-    is unavailable but a toolchain exists; the build is cached by
-    source digest.
+    (:mod:`repro.perf._cext_backend`); the build is cached by source
+    digest.
 ``"auto"``
-    The fastest available compiled backend (numba, then cext), silently
-    falling back to numpy when neither can be loaded.
+    cext when a working C compiler is found, silently falling back to
+    numpy otherwise.
 
 Correctness contract — *documented tolerance, not bitwise*.  Compiled
 kernels mirror the numpy expressions operation for operation, including
@@ -68,10 +63,10 @@ __all__ = [
 ]
 
 #: Valid values of ``PerfConfig.backend`` / ``--perf-backend``.
-BACKEND_CHOICES = ("numpy", "numba", "cext", "auto")
+BACKEND_CHOICES = ("numpy", "cext", "auto")
 
 #: Preference order ``"auto"`` walks (first loadable wins).
-AUTO_ORDER = ("numba", "cext")
+AUTO_ORDER = ("cext",)
 
 
 class KernelBackend:
@@ -136,7 +131,7 @@ class KernelBackend:
         self.prob_sum = prob_sum
         self.score_rows = score_rows
         self.moment1 = moment1
-        #: Wall-clock seconds the one-time JIT / C build took in this
+        #: Wall-clock seconds the one-time C build took in this
         #: process (amortized across every later call; benchmarked by
         #: ``scripts/bench_kernels.py``).
         self.warmup_s = warmup_s
@@ -167,8 +162,8 @@ def default_backend_name() -> str:
     return value
 
 
-# Per-process cache of loaded backends: loading is expensive (JIT
-# compilation / a C build) and the result is stateless, so one instance
+# Per-process cache of loaded backends: loading is expensive (a C
+# build) and the result is stateless, so one instance
 # serves every engine in the process.  ``False`` marks a backend that
 # was tried and found unavailable (so the probe doesn't repeat).
 _loaded: dict[str, KernelBackend | None | bool] = {}
@@ -180,11 +175,7 @@ def _load(name: str) -> KernelBackend | None:
         return None if cached is False else cached
     backend: KernelBackend | None = None
     try:
-        if name == "numba":
-            from repro.perf._numba_backend import load_numba_backend
-
-            backend = load_numba_backend()
-        elif name == "cext":
+        if name == "cext":
             from repro.perf._cext_backend import load_cext_backend
 
             backend = load_cext_backend()
@@ -198,8 +189,8 @@ def resolve_backend(name: str, *, warn: bool = True) -> KernelBackend | None:
     """Resolve a backend name to a :class:`KernelBackend` (or ``None``).
 
     ``None`` means "run the reference numpy path" — both for
-    ``"numpy"`` itself and for fallbacks.  Requesting ``"numba"`` or
-    ``"cext"`` explicitly when it cannot be loaded emits a
+    ``"numpy"`` itself and for fallbacks.  Requesting ``"cext"``
+    explicitly when it cannot be loaded emits a
     :class:`RuntimeWarning` (suppress with ``warn=False``) and falls
     back; ``"auto"`` probes silently.  Unknown names raise
     ``ValueError``.
@@ -220,18 +211,12 @@ def resolve_backend(name: str, *, warn: bool = True) -> KernelBackend | None:
     if backend is None and warn:
         warnings.warn(
             f"kernel backend {name!r} is unavailable "
-            f"({_unavailable_reason(name)}); falling back to the numpy "
+            "(no working C compiler was found); falling back to the numpy "
             "reference path",
             RuntimeWarning,
             stacklevel=2,
         )
     return backend
-
-
-def _unavailable_reason(name: str) -> str:
-    if name == "numba":
-        return "numba is not importable — install the repro[perf] extra"
-    return "no working C compiler was found"
 
 
 def available_backends() -> tuple[str, ...]:

@@ -160,9 +160,8 @@ class TrafficContext:
 class UnknownPluginError(KeyError):
     """An unregistered plugin name, with a did-you-mean suggestion.
 
-    Subclasses :class:`KeyError` so call sites written against the
-    pre-registry constructors (``make_heuristic`` raising ``KeyError``)
-    keep working unchanged.
+    Subclasses :class:`KeyError`, so call sites that catch a missing
+    name as a ``KeyError`` keep working.
     """
 
     def __init__(self, kind: str, name: str, known: tuple[str, ...]) -> None:

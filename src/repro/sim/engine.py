@@ -53,7 +53,7 @@ from repro.filters.chain import FilterChain
 from repro.heuristics.base import Heuristic, MappingContext
 from repro.perf.kernel_cache import CacheStats, PerfConfig
 from repro.perf.trial_cache import TrialCache
-from repro.sim.mapper import CandidateBuilder, build_candidate_set
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.metrics import TraceCollector
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
@@ -142,19 +142,17 @@ class Engine:
     tracer:
         Optional :class:`Tracer` timing each event handler as a span.
     perf:
-        Hot-path performance knobs (:class:`~repro.perf.PerfConfig`);
-        defaults to everything on.  Strictly results-neutral — see
-        :mod:`repro.perf`.  Deliberately *not* part of
+        Kernel backend selection (:class:`~repro.perf.PerfConfig`);
+        ``None`` means the numpy default.  Deliberately *not* part of
         :class:`~repro.config.SimulationConfig`, so manifest/config
-        digests are independent of how fast the run was computed.
+        digests are independent of how the run was computed.
     shared:
         Optional :class:`~repro.perf.TrialCache` carrying warm state
         from earlier specs of the same trial (kernel cache + builder
-        type tables).  When given and its sharing knobs are on, the
-        engine *reuses* that cache instead of building a private one;
-        ``kernel_cache_stats`` still reports this run's own activity
-        (counters are snapshotted at run start).  ``perf`` defaults to
-        the handle's config when both are supplied by the runner.
+        type tables).  When given, the engine *reuses* that cache
+        instead of building a private one; ``kernel_cache_stats`` still
+        reports this run's own activity (counters are snapshotted at
+        run start).
     ledger:
         Energy accountant to record P-state transitions into; ``None``
         (the default) builds the full :class:`EnergyLedger`.  Service
@@ -229,9 +227,7 @@ class Engine:
         self.collector = collector
         self.hooks = hooks
         self.tracer = tracer
-        if perf is None:
-            perf = shared.perf if shared is not None else PerfConfig()
-        self.perf = perf
+        self.perf = perf if perf is not None else PerfConfig()
 
         cluster = system.cluster
         dt = system.config.grid.dt
@@ -239,26 +235,19 @@ class Engine:
             CoreState(cid, int(cluster.core_node_index[cid]), dt)
             for cid in range(cluster.num_cores)
         ]
-        shared_cache = shared.kernel if shared is not None else None
-        if shared_cache is not None and self.perf.kernel_cache:
-            self._kernel_cache = shared_cache
-        else:
-            self._kernel_cache = self.perf.make_cache()
+        if shared is None:
+            shared = TrialCache()  # private to this engine
+        self._kernel_cache = shared.kernel
         self._cache_base: CacheStats | None = None
         # Resolved once per engine (cheap after the first: loaded
         # backends are cached per process); installed into stoch.ops for
         # exactly the duration of run()/serve(), like the kernel cache.
         self._kernel_backend = self.perf.make_backend()
-        type_tables = shared.mapper_tables(system.table) if shared is not None else None
-        self._builder = (
-            CandidateBuilder(
-                self.cores,
-                system.table,
-                type_tables=type_tables,
-                backend=self._kernel_backend,
-            )
-            if self.perf.batch_mapper
-            else None
+        self._builder = CandidateBuilder(
+            self.cores,
+            system.table,
+            type_tables=shared.mapper_tables(system.table),
+            backend=self._kernel_backend,
         )
         self.ledger = (
             EnergyLedger(cluster, system.config.energy.idle_power_mode)
@@ -326,8 +315,8 @@ class Engine:
         """Tasks queued or executing per core, cluster-wide."""
         return self._in_system / len(self.cores)
 
-    def kernel_cache_stats(self) -> CacheStats | None:
-        """This run's kernel-cache activity (``None`` when disabled).
+    def kernel_cache_stats(self) -> CacheStats:
+        """This run's kernel-cache activity.
 
         With a private cache these are the cache's lifetime counters;
         with a shared :class:`~repro.perf.TrialCache` they are the
@@ -336,8 +325,6 @@ class Engine:
         added).  The shared cache's trial-wide totals live on
         ``TrialCache.stats()``.
         """
-        if self._kernel_cache is None:
-            return None
         stats = self._kernel_cache.stats()
         if self._cache_base is not None:
             stats = stats.since(self._cache_base)
@@ -480,10 +467,7 @@ class Engine:
             tasks_left=tasks_left,
             avg_queue_depth=self.avg_queue_depth,
         )
-        if self._builder is not None:
-            cands = self._builder.build(task, t_now)
-        else:
-            cands = build_candidate_set(task, self.cores, self.system.table, t_now)
+        cands = self._builder.build(task, t_now)
         if self._availability is not None:
             np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
         self.filter_chain.apply(cands, ctx)
@@ -651,10 +635,7 @@ class Engine:
             tasks_left=tasks_left,
             avg_queue_depth=self.avg_queue_depth,
         )
-        if self._builder is not None:
-            cands = self._builder.build(task, t_now)
-        else:
-            cands = build_candidate_set(task, self.cores, self.system.table, t_now)
+        cands = self._builder.build(task, t_now)
         np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
         self.filter_chain.apply(cands, ctx)
         index = self.heuristic.select(cands, ctx)
@@ -703,7 +684,7 @@ class Engine:
     def run(self) -> TrialResult:
         """Execute the trial to completion and score it.
 
-        The engine's kernel cache (when enabled) is installed into
+        The engine's kernel cache is installed into
         :mod:`repro.stoch.ops` for exactly the duration of this call, so
         nothing is shared across trials and the module global is always
         restored — even on an exception.
@@ -714,10 +695,9 @@ class Engine:
             raise RuntimeError("an Engine instance runs exactly once")
         self._ran = True
 
-        if self._kernel_cache is not None:
-            # Baseline for per-run stat attribution; all zeros for a
-            # private cache, the previous specs' totals for a shared one.
-            self._cache_base = self._kernel_cache.stats()
+        # Baseline for per-run stat attribution; all zeros for a
+        # private cache, the previous specs' totals for a shared one.
+        self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
         previous_backend = set_kernel_backend(self._kernel_backend)
         try:
@@ -745,8 +725,7 @@ class Engine:
         if self._ran:
             raise RuntimeError("an Engine instance runs exactly once")
         self._ran = True
-        if self._kernel_cache is not None:
-            self._cache_base = self._kernel_cache.stats()
+        self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
         previous_backend = set_kernel_backend(self._kernel_backend)
         try:

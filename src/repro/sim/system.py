@@ -18,7 +18,6 @@ from repro import rng as rng_mod
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.generator import generate_cluster
 from repro.config import SimulationConfig
-from repro.perf.kernel_cache import PerfConfig
 from repro.workload.cvb import cvb_etc_matrix
 from repro.workload.etc_matrix import ETCMatrix
 from repro.workload.pmf_table import ExecutionTimeTable
@@ -69,18 +68,12 @@ class TrialSystem:
         return self.workload.t_avg
 
 
-def build_trial_system(
-    config: SimulationConfig, *, perf: PerfConfig | None = None
-) -> TrialSystem:
+def build_trial_system(config: SimulationConfig) -> TrialSystem:
     """Generate the full environment from ``config.seed``.
 
     Sub-streams ("cluster", "etc", task types, arrivals, "exec-luck") are
     independent, so e.g. enlarging the cluster does not perturb the
     workload draw.
-
-    ``perf`` selects how the execution-time table is constructed
-    (``batch_table``, :mod:`repro.perf`); results-neutral, ``None``
-    means the default fast path.
     """
     seed = config.seed
     cluster = generate_cluster(config.cluster, rng_mod.stream(seed, "cluster"))
@@ -94,10 +87,7 @@ def build_trial_system(
             rng_mod.stream(seed, "etc"),
         )
     )
-    batch = perf.batch_table if perf is not None else True
-    table = ExecutionTimeTable(
-        etc, cluster, config.grid, config.workload.exec_cv, batch=batch
-    )
+    table = ExecutionTimeTable(etc, cluster, config.grid, config.workload.exec_cv)
     workload = build_workload(config.workload, table, seed)
     budget = (
         config.energy.budget_mult * workload.t_avg * cluster.mean_power() * workload.num_tasks

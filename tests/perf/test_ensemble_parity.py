@@ -1,18 +1,21 @@
 """Ensemble-level results-neutrality of the full optimization stack.
 
-PR-level acceptance: with every ensemble optimization engaged at once —
-batched table construction, the warm cross-spec :class:`TrialCache`,
-the vectorized mapper, the kernel cache, chunked dispatch and the
-single-copy result frames — every ``TrialResult`` and the run's
-manifest digests are bitwise identical to the fully-disabled reference
-path, at any ``n_jobs`` and chunk size.
+With every ensemble optimization engaged at once — batched table
+construction, the warm cross-spec :class:`TrialCache`, the vectorized
+mapper, the kernel cache, chunked dispatch and the single-copy result
+frames — every ``TrialResult`` and the run's manifest digests are
+bitwise identical to running each spec of each trial as its own
+:class:`TrialPlan` with a private cache, at any ``n_jobs`` and chunk
+size.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import VariantSpec, run_ensemble
+from repro import build_trial_system
+from repro import rng as rng_mod
+from repro.experiments.runner import EnsembleResult, TrialPlan, VariantSpec, run_ensemble
 from repro.obs.manifest import build_manifest
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.kernels import available_backends
@@ -20,6 +23,7 @@ from tests.conftest import micro_config
 
 SPECS = (VariantSpec("LL", "en+rob"), VariantSpec("MECT", "none"), VariantSpec("SQ", "en+rob"))
 TRIALS = 4
+BASE_SEED = 17
 COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 
@@ -28,7 +32,7 @@ def run(perf, *, n_jobs=1, chunk_size=None):
         SPECS,
         micro_config(seed=31),
         num_trials=TRIALS,
-        base_seed=17,
+        base_seed=BASE_SEED,
         n_jobs=n_jobs,
         keep_outcomes=True,
         perf=perf,
@@ -38,7 +42,22 @@ def run(perf, *, n_jobs=1, chunk_size=None):
 
 @pytest.fixture(scope="module")
 def reference():
-    return run(PerfConfig.disabled())
+    """Per-spec ``TrialPlan`` runs, each engine with its own cache."""
+    config = micro_config(seed=31)
+    systems = [
+        build_trial_system(config.with_seed(rng_mod.spawn_trial_seed(BASE_SEED, i)))
+        for i in range(TRIALS)
+    ]
+    results = {
+        spec: tuple(
+            TrialPlan(system=system, spec=spec, keep_outcomes=True).run()
+            for system in systems
+        )
+        for spec in SPECS
+    }
+    return EnsembleResult(
+        specs=SPECS, num_trials=TRIALS, base_seed=BASE_SEED, results=results
+    )
 
 
 @pytest.mark.parametrize(
@@ -61,8 +80,9 @@ def test_all_optimizations_bitwise_match_reference(reference, n_jobs, chunk_size
 @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
 @pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "parallel"])
 def test_compiled_backend_ensemble_parity(reference, backend, n_jobs, assert_trial_close):
-    """Every trial of every spec stays within the kernel contract,
-    including across worker processes (each resolves its own backend)."""
+    """Every trial of every spec stays within the kernel contract of the
+    numpy default, including across worker processes (each resolves its
+    own backend)."""
     compiled = run(PerfConfig(backend=backend), n_jobs=n_jobs)
     for spec in SPECS:
         got_trials = compiled.results[spec]
@@ -70,14 +90,3 @@ def test_compiled_backend_ensemble_parity(reference, backend, n_jobs, assert_tri
         assert len(got_trials) == len(ref_trials)
         for got, ref in zip(got_trials, ref_trials):
             assert_trial_close(got, ref)
-
-
-def test_each_knob_alone_matches_reference(reference):
-    for perf in (
-        PerfConfig(warm_cache=False, batch_table=False),  # PR-4 baseline
-        PerfConfig(batch_table=False),  # + warm cross-spec cache
-        PerfConfig(warm_cache=False),  # + batched table build
-    ):
-        partial = run(perf)
-        for spec in SPECS:
-            assert partial.results[spec] == reference.results[spec]

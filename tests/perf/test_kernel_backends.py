@@ -7,11 +7,10 @@ flag.  Numerical agreement of the kernels lives in
 ``test_kernel_equivalence.py``; engine-level parity in
 ``test_parity.py`` / ``test_ensemble_parity.py``.
 
-Everything here runs in the numba-free default environment: tests that
-need a *compiled* backend use whichever one ``available_backends``
-reports (the cext backend compiles with the host toolchain) and skip
-when the environment provides none — that skip is itself the fallback
-contract working.
+Tests that need a *compiled* backend use whichever one
+``available_backends`` reports (the cext backend compiles with the host
+toolchain) and skip when the environment provides none — that skip is
+itself the fallback contract working.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import warnings
 import pytest
 
 from repro.perf import PerfConfig
+from repro.perf import kernels as kernels_mod
 from repro.perf.kernels import (
     BACKEND_CHOICES,
     available_backends,
@@ -45,19 +45,22 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("fortran")
 
+    def test_choices(self):
+        assert BACKEND_CHOICES == ("numpy", "cext", "auto")
+
     def test_available_always_includes_numpy(self):
         names = available_backends()
         assert names[0] == "numpy"
         assert set(names) <= set(BACKEND_CHOICES)
 
-    def test_explicit_unavailable_backend_warns_and_falls_back(self):
-        missing = [
-            n for n in ("numba", "cext") if n not in available_backends()
-        ]
-        if not missing:
-            pytest.skip("every compiled backend is available here")
+    def test_explicit_unavailable_backend_warns_and_falls_back(self, monkeypatch):
+        # Mark cext as probed-and-missing, as on a host without a compiler.
+        monkeypatch.setitem(kernels_mod._loaded, "cext", False)
         with pytest.warns(RuntimeWarning, match="unavailable"):
-            assert resolve_backend(missing[0]) is None
+            assert resolve_backend("cext") is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_backend("auto") is None
 
     def test_auto_never_warns(self):
         with warnings.catch_warnings():
@@ -80,13 +83,13 @@ class TestResolution:
             "compiled": False,
             "warmup_s": 0.0,
         }
-        for name in ("numba", "cext"):
-            entry = catalog[name]
-            assert entry["compiled"] is True
-            if entry["available"]:
-                assert entry["warmup_s"] >= 0.0
-            else:
-                assert entry["warmup_s"] is None
+        assert set(catalog) == {"numpy", "cext"}
+        entry = catalog["cext"]
+        assert entry["compiled"] is True
+        if entry["available"]:
+            assert entry["warmup_s"] >= 0.0
+        else:
+            assert entry["warmup_s"] is None
 
 
 class TestEnvOverride:
@@ -114,10 +117,6 @@ class TestPerfConfig:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             PerfConfig(backend="fortran")
-
-    def test_disabled_pins_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PERF_BACKEND", "auto")
-        assert PerfConfig.disabled().backend == "numpy"
 
     def test_make_backend_numpy_is_none(self):
         assert PerfConfig(backend="numpy").make_backend() is None

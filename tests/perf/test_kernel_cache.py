@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig
+from repro.sim.engine import Engine
+from repro.sim.mapper import CandidateBuilder
 from repro.stoch.ops import set_kernel_cache, truncate_below
 from repro.stoch.pmf import PMF
 
@@ -84,19 +90,12 @@ class TestInternedKernel:
 
 
 class TestPerfConfig:
-    def test_defaults_enable_everything(self):
-        perf = PerfConfig()
-        assert perf.kernel_cache and perf.batch_mapper
-        assert isinstance(perf.make_cache(), KernelCache)
-
-    def test_disabled_is_the_reference(self):
-        perf = PerfConfig.disabled()
-        assert not perf.kernel_cache and not perf.batch_mapper
-        assert perf.make_cache() is None
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            PerfConfig(max_entries=0)
+    def test_defaults_enable_everything(self, tiny_system):
+        """The backend is the only knob; the cache and builder are always on."""
+        assert [f.name for f in dataclasses.fields(PerfConfig)] == ["backend"]
+        engine = Engine(tiny_system, build_heuristic("LL"), build_filter_chain("en+rob"))
+        assert isinstance(engine._kernel_cache, KernelCache)
+        assert isinstance(engine._builder, CandidateBuilder)
 
 
 @st.composite

@@ -1,15 +1,16 @@
 """Results-neutrality of the performance layer.
 
-The acceptance contract of :mod:`repro.perf`: every knob combination
-produces bitwise-identical trial results — same scalar fields, same
-per-task outcomes, same manifest digests — across all four heuristics
-and with the filters on or off.  Speed is allowed to vary; results are
-not.
+The engine has one path — the vectorized candidate builder with a
+kernel cache.  Its acceptance contract: every trial is bitwise identical
+to one run on the reference computations kept in
+``tests/perf/reference.py`` — same scalar fields, same per-task
+outcomes, same manifest digests — across all four heuristics and with
+the filters on or off.  Speed is allowed to vary; results are not.
 
-The ``backend`` knob is the one deliberate exception: the numpy
-backend (the default) stays bitwise, while compiled backends are held
-to the kernel contract — discrete fields exact, floats within 1e-12.
-Canonical digests are always defined by the numpy path.
+The ``backend`` knob is the one deliberate exception: compiled backends
+are held to the kernel contract against the numpy default — discrete
+fields exact, floats within 1e-12.  Canonical digests are always defined
+by the numpy path.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from repro.experiments.runner import TrialPlan, VariantSpec
 from repro.obs.manifest import trial_digest
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.kernels import available_backends
-from repro.sim.mapper import CandidateBuilder, build_candidate_set
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
 from tests.conftest import micro_config
+from tests.perf.reference import build_candidate_set, reference_engine
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
 VARIANTS = ("none", "en+rob")
@@ -36,24 +38,20 @@ def system():
     return build_trial_system(micro_config(seed=11))
 
 
+def _run(system, spec, perf=None):
+    return TrialPlan(system=system, spec=spec, keep_outcomes=True, perf=perf).run()
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_perf_knobs_are_results_neutral(system, heuristic, variant):
+    """The default engine equals the per-core loop and the uncached run,
+    each alone and together."""
     spec = VariantSpec(heuristic, variant)
-
-    def run(perf):
-        return TrialPlan(
-            system=system, spec=spec, keep_outcomes=True, perf=perf
-        ).run()
-
-    reference = run(PerfConfig.disabled())
-    for perf in (
-        PerfConfig(),  # everything on
-        PerfConfig(batch_mapper=False),  # cache only
-        PerfConfig(kernel_cache=False),  # batch mapper only
-        PerfConfig(backend="numpy"),  # backend knob explicit, still bitwise
-    ):
-        result = run(perf)
+    result = _run(system, spec)
+    for loop, uncached in ((True, True), (True, False), (False, True)):
+        with reference_engine(loop=loop, uncached=uncached):
+            reference = _run(system, spec)
         assert result == reference  # full dataclass equality incl. outcomes
         assert trial_digest(result) == trial_digest(reference)
 
@@ -63,14 +61,10 @@ def test_perf_knobs_are_results_neutral(system, heuristic, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_compiled_backend_parity(system, heuristic, variant, backend, assert_trial_close):
-    """Compiled backends reproduce every trial within the kernel contract."""
+    """Compiled backends reproduce every numpy trial within the kernel contract."""
     spec = VariantSpec(heuristic, variant)
-
-    def run(perf):
-        return TrialPlan(system=system, spec=spec, keep_outcomes=True, perf=perf).run()
-
-    reference = run(PerfConfig.disabled())
-    compiled = run(PerfConfig(backend=backend))
+    reference = _run(system, spec, PerfConfig(backend="numpy"))
+    compiled = _run(system, spec, PerfConfig(backend=backend))
     assert_trial_close(compiled, reference)
 
 
@@ -84,7 +78,7 @@ def _fresh_cores(system):
 
 
 class TestBuilderMatchesReference:
-    """CandidateBuilder's batched arrays equal the per-core loop's, bitwise."""
+    """CandidateBuilder's batched arrays equal the reference loop's, bitwise."""
 
     ARRAYS = ("core_ids", "pstates", "queue_len", "eet", "eec", "ect", "prob_on_time")
 

@@ -9,13 +9,8 @@ import pytest
 
 from repro import rng as rng_mod
 from repro.experiments.runner import TrialPlan, VariantSpec
-from repro.filters.chain import (
-    FilterChain,
-    build_filter_chain,
-    canonical_variant,
-    make_filter_chain,
-)
-from repro.heuristics.registry import HEURISTICS, build_heuristic, make_heuristic
+from repro.filters.chain import build_filter_chain, canonical_variant
+from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
     ADMISSION_PLUGINS,
     FILTER_PLUGINS,
@@ -126,35 +121,12 @@ class TestRegistration:
 
 
 class TestDeprecationShims:
-    def test_make_heuristic_warns_once_and_matches(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = make_heuristic("LL")
-        assert [w for w in caught if w.category is DeprecationWarning]
-        assert len(caught) == 1
-        assert type(shimmed) is type(build_heuristic("LL"))
-
-    def test_make_filter_chain_warns_once_and_matches(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = make_filter_chain("en+rob")
-        assert len(caught) == 1
-        assert caught[0].category is DeprecationWarning
-        assert isinstance(shimmed, FilterChain)
-        assert shimmed.label == build_filter_chain("en+rob").label
-
     def test_build_paths_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("error", DeprecationWarning)
             build_heuristic("SQ")
             build_filter_chain("en+rob")
         assert caught == []
-
-    def test_make_heuristic_still_raises_keyerror(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(KeyError):
-                make_heuristic("OLB")
 
     def test_random_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import api
 from repro import rng as rng_mod
-from repro.experiments.runner import TrialPlan, VariantSpec, run_trial_variant
+from repro.experiments.runner import TrialPlan, VariantSpec
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import config_digest
@@ -59,16 +59,6 @@ class TestTrialParity:
 
 
 class TestTrialPlanShim:
-    def test_plan_matches_deprecated_entry_point(self, tiny_system):
-        planned = TrialPlan(system=tiny_system, spec=SPEC).run()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = run_trial_variant(tiny_system, SPEC)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "TrialPlan" in str(deprecations[0].message)
-        assert shimmed == planned
-
     def test_plan_run_does_not_warn(self, tiny_system):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -125,12 +115,9 @@ class TestServiceParity:
 
 @pytest.fixture(autouse=True)
 def _no_stray_deprecations(recwarn):
-    """Scenario-driven runs must never route through deprecated shims."""
+    """Scenario-driven runs must never emit a repro deprecation warning."""
     yield
-    stray = [
+    assert not [
         w for w in recwarn.list
         if w.category is DeprecationWarning and "repro" in str(w.message)
     ]
-    assert not stray or all(
-        "run_trial_variant" in str(w.message) for w in stray
-    )

@@ -58,9 +58,14 @@ class TestRunTrial:
         assert api.run_trial(self.SCENARIO, system=system) == api.run_trial(self.SCENARIO)
 
     def test_perf_knobs_results_neutral(self):
-        fast = api.run_trial(self.SCENARIO)
-        slow = api.run_trial(self.SCENARIO, perf=api.PerfConfig.disabled())
-        assert fast == slow
+        # A trial cache warmed by another policy on the same system
+        # changes nothing about this one's result.
+        system = self.SCENARIO.build_system()
+        shared = api.TrialCache()
+        api.run_trial(api.Scenario("LL", "none", seed=5, num_tasks=60), system=system, shared=shared)
+        warm = api.run_trial(self.SCENARIO, system=system, shared=shared)
+        assert warm == api.run_trial(self.SCENARIO)
+        assert shared.stats().hits > 0
 
     def test_metrics_capture_cache_counters(self):
         metrics = api.MetricsRegistry()

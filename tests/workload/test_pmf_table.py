@@ -7,8 +7,11 @@ import pytest
 
 from repro.cluster.generator import generate_cluster
 from repro.config import ClusterConfig, GridConfig
+from repro.sim.system import build_trial_system
+from repro.stoch.distributions import discretized_gamma
 from repro.workload.etc_matrix import ETCMatrix
 from repro.workload.pmf_table import ExecutionTimeTable
+from tests.conftest import micro_config
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +35,29 @@ class TestConstruction:
         etc = ETCMatrix(np.ones((2, 2)) * 100)
         with pytest.raises(ValueError):
             ExecutionTimeTable(etc, cluster, GridConfig(), exec_cv=0.0)
+
+
+class TestBatchMatchesPerCell:
+    def test_every_cell_equals_discretized_gamma_bitwise(self):
+        """The one vectorized gamma pass reproduces the per-cell oracle."""
+        system = build_trial_system(micro_config(seed=7))
+        table = system.table
+        grid = table.grid
+        mult = table.cluster.exec_multiplier_table()
+        T, N, P = table.eet.shape
+        for t in range(T):
+            for n in range(N):
+                for pi in range(P):
+                    ref = discretized_gamma(
+                        float(table.etc.means[t, n] * mult[n, pi]),
+                        table.exec_cv,
+                        grid.dt,
+                        tail_sigmas=grid.tail_sigmas,
+                    )
+                    got = table.pmf(t, n, pi)
+                    assert got.start == ref.start and got.dt == ref.dt
+                    assert got.probs.tobytes() == ref.probs.tobytes()
+                    assert table.eet[t, n, pi] == ref.mean()
 
 
 class TestPMFs:
