@@ -12,21 +12,21 @@ one index (or none, in which case the task is discarded).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from repro.workload.task import Task
 
-__all__ = ["Assignment", "CandidateSet", "MappingContext", "Heuristic", "argmin_lexicographic"]
-
-#: Sentinel default for :attr:`CandidateSet.mask` — replaced by an
-#: all-feasible mask of the right length in ``__post_init__``.  A real
-#: (if empty) boolean array keeps the field's ``np.ndarray`` annotation
-#: honest, unlike the previous ``default=None`` + ``type: ignore``.
-_MASK_UNSET: np.ndarray = np.empty(0, dtype=bool)
-_MASK_UNSET.setflags(write=False)
+__all__ = [
+    "Assignment",
+    "CandidateColumns",
+    "CandidateSet",
+    "MappingContext",
+    "Heuristic",
+    "argmin_lexicographic",
+]
 
 
 class Assignment(NamedTuple):
@@ -36,7 +36,16 @@ class Assignment(NamedTuple):
     pstate: int
 
 
-@dataclass
+class CandidateColumns(Protocol):
+    """Computes a candidate set's two state-dependent columns on demand."""
+
+    def ect(self) -> np.ndarray:
+        """Expected completion time per candidate."""
+
+    def prob_on_time(self) -> np.ndarray:
+        """On-time probability per candidate."""
+
+
 class CandidateSet:
     """Vectorized view of every potential assignment for one task.
 
@@ -61,29 +70,110 @@ class CandidateSet:
         ``rho(i, j, k, pi, t_l, z)`` — probability of meeting the deadline.
     mask:
         Feasibility mask; filters clear entries, heuristics respect it.
+
+    The policies read different columns: SQ reads ``queue_len`` and
+    ``eet``, Random only ``mask``, MECT ``ect``, LL ``eec`` and
+    ``prob_on_time``; the energy filter reads ``eec``, the robustness
+    filter ``prob_on_time``.  ``ect`` and ``prob_on_time`` are the costly
+    ones (they need every busy core's ready-time pmf), so a set built
+    with a ``columns`` source computes each the first time it is read
+    and keeps it.  They describe the cores *as they are when read*:
+    filters, heuristics and hooks must read them before the engine
+    commits the mapping.  The engine then seals the set (:meth:`seal`), and
+    any later read of either column raises :class:`RuntimeError`.
     """
 
-    core_ids: np.ndarray
-    pstates: np.ndarray
-    queue_len: np.ndarray
-    eet: np.ndarray
-    eec: np.ndarray
-    ect: np.ndarray
-    prob_on_time: np.ndarray
-    mask: np.ndarray = field(default_factory=lambda: _MASK_UNSET)
+    __slots__ = (
+        "core_ids",
+        "pstates",
+        "queue_len",
+        "eet",
+        "eec",
+        "mask",
+        "_ect",
+        "_prob_on_time",
+        "_columns",
+        "_sealed",
+    )
 
-    def __post_init__(self) -> None:
-        n = self.core_ids.size
-        for name in ("pstates", "queue_len", "eet", "eec", "ect", "prob_on_time"):
-            if getattr(self, name).size != n:
+    def __init__(
+        self,
+        core_ids: np.ndarray,
+        pstates: np.ndarray,
+        queue_len: np.ndarray,
+        eet: np.ndarray,
+        eec: np.ndarray,
+        ect: np.ndarray | None = None,
+        prob_on_time: np.ndarray | None = None,
+        mask: np.ndarray | None = None,
+        *,
+        columns: CandidateColumns | None = None,
+    ) -> None:
+        if columns is None and (ect is None or prob_on_time is None):
+            raise TypeError("CandidateSet needs ect and prob_on_time arrays or a columns source")
+        n = core_ids.size
+        for name, arr in (
+            ("pstates", pstates),
+            ("queue_len", queue_len),
+            ("eet", eet),
+            ("eec", eec),
+            ("ect", ect),
+            ("prob_on_time", prob_on_time),
+        ):
+            if arr is not None and arr.size != n:
                 raise ValueError(f"candidate array {name!r} misaligned")
-        if self.mask is _MASK_UNSET:
-            self.mask = np.ones(n, dtype=bool)
-        elif self.mask.size != n:
+        if mask is None:
+            mask = np.ones(n, dtype=bool)
+        elif mask.size != n:
             raise ValueError("mask misaligned")
+        self.core_ids = core_ids
+        self.pstates = pstates
+        self.queue_len = queue_len
+        self.eet = eet
+        self.eec = eec
+        self.mask = mask
+        self._ect = ect
+        self._prob_on_time = prob_on_time
+        self._columns = columns
+        self._sealed = False
 
     def __len__(self) -> int:
         return int(self.core_ids.size)
+
+    def __repr__(self) -> str:
+        return f"CandidateSet({len(self)} candidates, {self.num_feasible} feasible)"
+
+    def _check_open(self, name: str) -> None:
+        if self._sealed:
+            raise RuntimeError(
+                f"CandidateSet.{name} read after the mapping was committed; "
+                "read candidate columns before the engine changes core state"
+            )
+
+    @property
+    def ect(self) -> np.ndarray:
+        """Expected completion time per candidate (computed on first read)."""
+        self._check_open("ect")
+        if self._ect is None:
+            self._ect = self._columns.ect()
+        return self._ect
+
+    @property
+    def prob_on_time(self) -> np.ndarray:
+        """On-time probability per candidate (computed on first read)."""
+        self._check_open("prob_on_time")
+        if self._prob_on_time is None:
+            self._prob_on_time = self._columns.prob_on_time()
+        return self._prob_on_time
+
+    def seal(self) -> None:
+        """Forbid further reads of ``ect`` and ``prob_on_time``.
+
+        Called by the engine once it starts changing core state for the
+        chosen assignment, after which those columns could no longer be
+        computed as of decision time.
+        """
+        self._sealed = True
 
     @property
     def num_feasible(self) -> int:

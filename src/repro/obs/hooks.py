@@ -216,7 +216,11 @@ class TimedHeuristic(Heuristic):
 
     Timing wraps the heuristic *outside* the engine, so the engine stays
     oblivious to observability and the measured span is exactly the
-    decision (mask argmin etc.), not candidate construction.  With a
+    decision (mask argmin etc.), not candidate construction.  The
+    decision includes computing ``ect`` / ``prob_on_time`` when
+    ``select`` is the first to read them (candidate sets compute those
+    columns on demand); a filter that read them first carries that
+    cost instead.  With a
     ``recorder``, the already-measured duration is also fed to the span
     profile as a ``heuristic.<name>`` span — one measurement, two
     consumers.

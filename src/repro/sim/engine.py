@@ -8,10 +8,13 @@ Two event kinds drive the simulation:
   materialized Poisson burst in batch mode, an unbounded traffic
   generator in service mode); only the next pending arrival ever sits
   in the heap, so memory is independent of stream length.  The
-  mapper scores all candidates, the filter chain prunes, the heuristic
-  decides immediately (immediate-mode, [MaA99]); a task whose feasible
-  set is empty is discarded.  Assignments are final: no re-mapping, no
-  P-state change after commitment (Section III-B).
+  mapper builds the candidate set, the filter chain prunes, the
+  heuristic decides immediately (immediate-mode, [MaA99]); a task whose
+  feasible set is empty is discarded.  The set's ``ect`` and
+  ``prob_on_time`` columns are computed from core state when first
+  read, so the engine reads what it records of the decision before
+  committing and then seals the set.  Assignments are final: no
+  re-mapping, no P-state change after commitment (Section III-B).
 * **completion** — the running task's sampled actual execution time
   elapsed.  The core pops its FIFO queue; if empty it parks idle (the
   ledger records the transition; P-states change only while idle).
@@ -472,11 +475,16 @@ class Engine:
             np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
         self.filter_chain.apply(cands, ctx)
         index = self.heuristic.select(cands, ctx)
+        chosen_prob = 0.0
+        if index is not None and (self._shedder is not None or self.collector is not None):
+            # Decision-time rho: the column is computed from core state
+            # when first read, so it must be read before anything commits.
+            chosen_prob = float(cands.prob_on_time[index])
 
         if (
             index is not None
             and self._shedder is not None
-            and self._shedder.below_prob_floor(float(cands.prob_on_time[index]))
+            and self._shedder.below_prob_floor(chosen_prob)
         ):
             # Probabilistic pruning: the best surviving assignment is
             # still too unlikely to finish on time to be worth its
@@ -501,6 +509,7 @@ class Engine:
 
         assignment = cands.assignment(index)
         eec = float(cands.eec[index])
+        cands.seal()
         if self.rolling_budget is not None:
             self.energy_estimate = self.rolling_budget.draw(eec)
         else:
@@ -527,7 +536,7 @@ class Engine:
                 self.energy_estimate,
                 assignment.pstate,
                 cands.num_feasible,
-                chosen_prob=float(cands.prob_on_time[index]),
+                chosen_prob=chosen_prob,
             )
         if self.hooks is not None:
             self.hooks.on_mapped(self, task, assignment.core_id, assignment.pstate)
@@ -645,8 +654,11 @@ class Engine:
                     t_now, ctx.avg_queue_depth, self.energy_estimate, -1, cands.num_feasible
                 )
             return False
+        # Read before committing, like a fresh arrival's.
+        chosen_prob = float(cands.prob_on_time[index]) if self.collector is not None else 0.0
         assignment = cands.assignment(index)
         eec = float(cands.eec[index])
+        cands.seal()
         if self.rolling_budget is not None:
             self.energy_estimate = self.rolling_budget.draw(eec)
         else:
@@ -673,7 +685,7 @@ class Engine:
                 self.energy_estimate,
                 assignment.pstate,
                 cands.num_feasible,
-                chosen_prob=float(cands.prob_on_time[index]),
+                chosen_prob=chosen_prob,
             )
         return True
 

@@ -5,11 +5,20 @@ pair is a potential assignment.  :class:`CandidateBuilder` assembles the
 aligned arrays of Section V-A quantities over all candidates in
 candidate order (core-major, then P-state):
 
-* ``EET`` and ``EEC`` come straight from the precomputed tables;
+* ``EET`` and ``EEC`` come straight from the precomputed tables, and
+  ``queue_len`` from the cores' shared occupancy array — no core is
+  visited;
 * ``ECT`` is the core's expected ready time plus EET (linearity of
   expectation over the convolution, so no pmf product is formed);
 * ``rho`` (on-time probability) is one padded-matrix pass per distinct
   ready pmf against its CDF.
+
+``ECT`` and ``rho`` are computed on demand, the first time a filter or
+heuristic reads them, in two stages: the *ready stage* (one pass over
+the cores collecting ready-time pmfs and means, shared by both columns)
+and the *rho stage* (the batched index grid, CDF gather and einsum).  A
+policy that reads neither (SQ, Random, the energy filter) does no pmf
+work at all; MECT without the robustness filter skips the rho stage.
 
 The builder precomputes the per-candidate coordinate arrays once per
 trial, shares a single degenerate ready pmf across all idle cores, and
@@ -23,17 +32,24 @@ suite keeps that loop as an oracle and pins the two bitwise equal.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.heuristics.base import CandidateSet
-from repro.sim.state import CoreState
+from repro.sim.state import CoreState, shared_occupancy
 from repro.stoch.pmf import PMF
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
 __all__ = ["CandidateBuilder"]
+
+#: Per-type tables: EET (C, P), EET and EEC flattened, the node-stacked
+#: padded time/probability matrices, and each node's native pad width
+#: as a tuple and as an int64 array.
+_TypeTables = tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray
+]
 
 
 class CandidateBuilder:
@@ -41,10 +57,12 @@ class CandidateBuilder:
 
     Bound to one core list and one execution-time table (both live for a
     whole trial), so the candidate coordinate arrays — identical for
-    every arrival — are built once.  Per arrival it shares one
-    degenerate ready pmf across all idle cores and computes one
-    probability row per *distinct* ``(node, ready pmf)`` pair instead of
-    one per core.  Every core must sit on the table's time grid.
+    every arrival — are built once, and the cores are bound to one
+    occupancy array read for ``queue_len``.  When a set's ``ect`` or
+    ``prob_on_time`` is read, it shares one degenerate ready pmf across
+    all idle cores and computes one probability row per *distinct*
+    ``(node, ready pmf)`` pair instead of one per core.  Every core must
+    sit on the table's time grid.
     """
 
     __slots__ = (
@@ -55,6 +73,7 @@ class CandidateBuilder:
         "_num_nodes",
         "_core_ids",
         "_pstates",
+        "_occupancy",
         "_dt",
         "_node_cores",
         "_by_type",
@@ -85,6 +104,7 @@ class CandidateBuilder:
         pstates.setflags(write=False)
         self._core_ids = core_ids
         self._pstates = pstates
+        self._occupancy = shared_occupancy(self._cores)
         self._dt = table.grid.dt
         # Cores grouped by node: collecting distinct ready pmfs in node
         # order keeps each node's rows contiguous, so the per-node dot
@@ -101,9 +121,7 @@ class CandidateBuilder:
         # tables are built once per trial instead of once per spec —
         # entries are pure functions of (table, type_id), so sharing is
         # exact.
-        self._by_type: dict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = type_tables if type_tables is not None else {}
+        self._by_type: dict[int, _TypeTables] = type_tables if type_tables is not None else {}
         # Optional compiled kernel set (repro.perf.KernelBackend): when
         # set, the probability rows come from one compiled score_rows
         # call instead of the batched numpy passes.  Same inputs, same
@@ -111,17 +129,7 @@ class CandidateBuilder:
         # sequentially (the documented compiled-backend tolerance).
         self._backend = backend
 
-    def _type_tables(
-        self, type_id: int
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        tuple[int, ...],
-        np.ndarray,
-    ]:
+    def _type_tables(self, type_id: int) -> _TypeTables:
         cached = self._by_type.get(type_id)
         if cached is None:
             cluster = self._table.cluster
@@ -158,63 +166,54 @@ class CandidateBuilder:
         return cached
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
-        """Assemble the candidate set for one arrival at ``t_now``."""
-        cores = self._cores
-        C = self._num_cores
-        P = self._num_pstates
-        dt = self._dt
-        deadline = task.deadline
-        type_id = task.type_id
+        """The candidate set for one arrival at ``t_now``.
 
-        eet, eet_flat, eec_flat, times_stack, probs_stack, widths, widths_arr = (
-            self._type_tables(type_id)
+        ``queue_len``, ``eet``, ``eec`` and ``mask`` are filled now;
+        ``ect`` and ``prob_on_time`` are computed when first read.
+        """
+        tables = self._type_tables(task.type_id)
+        return CandidateSet(
+            core_ids=self._core_ids,
+            pstates=self._pstates,
+            queue_len=np.repeat(self._occupancy, self._num_pstates),
+            eet=tables[1],
+            eec=tables[2],
+            columns=_OnDemandColumns(self, tables, task.deadline, t_now),
         )
-        be = self._backend
 
-        if be is None:
-            # ``deadline - time`` for every (node, P-state, impulse), once
-            # per arrival — the same elementwise expression the reference
-            # evaluates per node (elementwise ufuncs are exact per element
-            # regardless of batching).  The compiled path evaluates it
-            # inside score_rows instead, so skip the (N, P, width)
-            # allocation there.
-            a_stack = deadline - times_stack  # (N, P, width)
+    def _ready_stage(self, t_now: float) -> _Ready:
+        """One pass over the cores: ready-time means and distinct ready pmfs.
 
-        # One pass over the cores, grouped by node, collects per
-        # *distinct* (node, ready pmf) pair the quantities the batched
-        # row computation needs; grouping keeps each node's rows
-        # contiguous.  One degenerate pmf stands in for every idle
-        # core's ready time: its values are exactly what
-        # CoreState.ready_pmf would build, and sharing the object caches
-        # the mean and collapses all idle cores of a node onto one
-        # probability row (identity against it is the only way two
-        # cores can share a ready pmf).
+        Cores are visited grouped by node, collecting the *distinct*
+        (node, ready pmf) pairs; grouping keeps each node's rows
+        contiguous.  One degenerate pmf stands in for every idle core's
+        ready time: its values are exactly what CoreState.ready_pmf
+        would build, and sharing the object caches the mean and
+        collapses all idle cores of a node onto one probability row
+        (identity against it is the only way two cores can share a
+        ready pmf).
+        """
+        cores = self._cores
         idle_delta: PMF | None = None
         idle_mean = 0.0
-        slots: list[int] = [0] * C  # per core: its distinct-row index
-        means: list[float] = [0.0] * C
-        qlens: list[int] = [0] * C
-        starts_l: list[float] = []
-        sizes_l: list[int] = []
-        cdfs: list[np.ndarray] = []
+        slots: list[int] = [0] * self._num_cores  # per core: its distinct-row index
+        means: list[float] = [0.0] * self._num_cores
+        rows: list[PMF] = []
         node_blocks: list[tuple[int, int, int]] = []  # (node, row lo, row hi)
         for node, node_core_ids in self._node_cores:
-            row_lo = len(starts_l)
+            row_lo = len(rows)
             idle_slot = -1
             for c in node_core_ids:
                 core = cores[c]
                 if core.running is None:
                     if idle_delta is None:
-                        idle_delta = PMF.delta(t_now, dt)
+                        idle_delta = PMF.delta(t_now, self._dt)
                         idle_mean = idle_delta.mean()
                     means[c] = idle_mean
                     if idle_slot < 0:
-                        idle_slot = len(starts_l)
-                        starts_l.append(idle_delta.start)
-                        sizes_l.append(idle_delta.probs.size)
-                        cdfs.append(idle_delta.cdf)
+                        idle_slot = len(rows)
+                        rows.append(idle_delta)
                     slots[c] = idle_slot
-                    qlens[c] = len(core.queue)
                 else:
                     ready = core.ready_pmf(t_now)
                     # Inline of PMF.mean's cached branch (same
@@ -223,26 +222,32 @@ class CandidateBuilder:
                     means[c] = (
                         float(ready.start + ready.dt * m1) if m1 is not None else ready.mean()
                     )
-                    slots[c] = len(starts_l)
-                    starts_l.append(ready.start)
-                    sizes_l.append(ready.probs.size)
-                    cdfs.append(ready.cdf)
-                    qlens[c] = len(core.queue) + 1
-            row_hi = len(starts_l)
+                    slots[c] = len(rows)
+                    rows.append(ready)
+            row_hi = len(rows)
             if row_hi > row_lo:
                 node_blocks.append((node, row_lo, row_hi))
-        ready_means = np.array(means)
-        queue_len = np.array(qlens, dtype=np.int64)
+        return _Ready(np.array(means), slots, rows, node_blocks)
 
-        # Probability rows, one per distinct (node, ready pmf), over all
-        # nodes in one batch: the offset/index grid is one elementwise
-        # pass, then the CDF gather and the per-P-state dot run per
-        # distinct pmf on its contiguous (P, width) slice — the same
-        # expressions, on the same values, as prob_on_time_all_pstates
-        # evaluates one core at a time.
-        u = len(starts_l)
-        starts = np.array(starts_l)
+    def _rho_stage(self, ready: _Ready, tables: _TypeTables, deadline: float) -> np.ndarray:
+        """On-time probability per candidate, one row per distinct ready pmf.
+
+        The offset/index grid over all nodes is one elementwise pass,
+        then the CDF gather and the per-P-state dot run per distinct pmf
+        on its contiguous (P, width) slice — the same expressions, on
+        the same values, as prob_on_time_all_pstates evaluates one core
+        at a time.
+        """
+        _, _, _, times_stack, probs_stack, widths, widths_arr = tables
+        dt = self._dt
+        rows_pmf = ready.rows
+        node_blocks = ready.node_blocks
+        u = len(rows_pmf)
+        starts = np.array([pmf.start for pmf in rows_pmf])
+        sizes_l = [pmf.probs.size for pmf in rows_pmf]
         sizes = np.array(sizes_l, dtype=np.int64)
+        cdfs = [pmf.cdf for pmf in rows_pmf]
+        be = self._backend
         if be is not None:
             # Compiled pass: one score_rows call replaces the offset
             # grid, gather and einsum below.  The CDFs concatenate
@@ -272,6 +277,11 @@ class CandidateBuilder:
                 dt,
             )
         else:
+            # ``deadline - time`` for every (node, P-state, impulse) —
+            # the same elementwise expression the reference evaluates
+            # per node (elementwise ufuncs are exact per element
+            # regardless of batching).
+            a_stack = deadline - times_stack  # (N, P, width)
             # floor((a - start) / dt + 1e-9) in-place on a writable
             # stack of each distinct pmf's node rows: the same
             # elementwise chain as the expression form, without the
@@ -312,7 +322,7 @@ class CandidateBuilder:
             # exactly the reference's terms, because extra zero-probability
             # columns — while value-neutral term by term — change the
             # inner loop's accumulator blocking and therefore rounding.
-            rows = np.empty((u, P))
+            rows = np.empty((u, self._num_pstates))
             for node, row_lo, row_hi in node_blocks:
                 w = widths[node]
                 np.einsum(
@@ -321,17 +331,43 @@ class CandidateBuilder:
                     fr_all[row_lo:row_hi, :, :w],
                     out=rows[row_lo:row_hi],
                 )
-        prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
+        return np.take(rows, ready.slots, axis=0).ravel()  # (C, P) scatter by slot
 
-        ect = ready_means[:, None] + eet
 
-        return CandidateSet(
-            core_ids=self._core_ids,
-            pstates=self._pstates,
-            queue_len=np.repeat(queue_len, P),
-            eet=eet_flat,
-            eec=eec_flat,
-            ect=ect.ravel(),
-            prob_on_time=prob.ravel(),
-        )
+class _Ready(NamedTuple):
+    """The ready stage's output, shared by the ``ect`` and ρ columns."""
 
+    means: np.ndarray  # (C,) ready-time mean per core
+    slots: list[int]  # per core: index of its ready pmf in ``rows``
+    rows: list[PMF]  # distinct ready pmfs, node blocks contiguous
+    node_blocks: list[tuple[int, int, int]]  # (node, row lo, row hi)
+
+
+class _OnDemandColumns:
+    """The ``ect`` / ``prob_on_time`` source of one built candidate set.
+
+    Both columns share one ready stage, run on the first read of either.
+    """
+
+    __slots__ = ("_builder", "_tables", "_deadline", "_t_now", "_ready")
+
+    def __init__(
+        self, builder: CandidateBuilder, tables: _TypeTables, deadline: float, t_now: float
+    ) -> None:
+        self._builder = builder
+        self._tables = tables
+        self._deadline = deadline
+        self._t_now = t_now
+        self._ready: _Ready | None = None
+
+    def _ready_stage(self) -> _Ready:
+        if self._ready is None:
+            self._ready = self._builder._ready_stage(self._t_now)
+        return self._ready
+
+    def ect(self) -> np.ndarray:
+        # Linearity of expectation: the ready-time mean plus EET.
+        return (self._ready_stage().means[:, None] + self._tables[0]).ravel()
+
+    def prob_on_time(self) -> np.ndarray:
+        return self._builder._rho_stage(self._ready_stage(), self._tables, self._deadline)

@@ -4,29 +4,44 @@ The dominant cost of a mapping event is computing, for every core, the
 *ready-time* pmf — the completion distribution of everything already on
 the core (Section IV-B).  :class:`CoreState` caches both pieces:
 
-* the convolution of queued tasks' execution pmfs, maintained
-  *incrementally* on enqueue whenever that is exact (appending a pmf at
-  least as long as every queued one convolves last in the sorted fold of
+* the convolution of queued tasks' execution pmfs, extended
+  *incrementally* whenever that is exact (appending a pmf at least as
+  long as every queued one convolves last in the sorted fold of
   :func:`~repro.stoch.ops.convolve_many`, so one incremental convolution
   reproduces the full recomputation bit for bit) and invalidated
-  otherwise, and
+  otherwise.  The extension is deferred to the next ready-pmf read, so a
+  trial whose policy never reads a ready pmf convolves nothing, and
 * the running task's truncated completion pmf.  Truncation at a later
   time ``t`` changes nothing as long as the cached distribution has no
   impulse before ``t``, so the cache records its first-impulse time and
   stays valid across most events — typically only cores whose predicted
   completion is overdue recompute.
+
+Each core also writes its :attr:`CoreState.assigned_count` into a slot
+of an occupancy array on every mutation; :func:`shared_occupancy` binds
+a core list to one array, so a mapper reads every queue length at once
+without visiting the cores.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.stoch.ops import convolve, convolve_many, shift, truncate_below
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
 
-__all__ = ["RunningTask", "QueuedTask", "CoreState", "RollingEnergyBudget"]
+__all__ = [
+    "RunningTask",
+    "QueuedTask",
+    "CoreState",
+    "RollingEnergyBudget",
+    "shared_occupancy",
+]
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,10 @@ class CoreState:
         "epoch",
         "_version",
         "_queue_conv",
+        "_queue_tail",
         "_queue_maxlen",
+        "_occupancy",
+        "_occupancy_slot",
         "_ready_version",
         "_ready_pmf",
         "_ready_trunc_start",
@@ -81,7 +99,14 @@ class CoreState:
         self.epoch = 0
         self._version = 0
         self._queue_conv: PMF | None = None
+        # Pmfs appended since ``_queue_conv`` was last folded; each one
+        # is no shorter than everything before it, so folding them in
+        # order is the incremental extension, just done later.
+        self._queue_tail: list[PMF] = []
         self._queue_maxlen = 0
+        # Private one-slot array until shared_occupancy() rebinds it.
+        self._occupancy = np.zeros(1, dtype=np.int64)
+        self._occupancy_slot = 0
         self._ready_version = -1
         self._ready_pmf: PMF | None = None
         self._ready_trunc_start = 0.0
@@ -100,8 +125,11 @@ class CoreState:
         """Whether the core has no work at all."""
         return self.running is None and not self.queue
 
+    def _sync_occupancy(self) -> None:
+        self._occupancy[self._occupancy_slot] = len(self.queue) + (self.running is not None)
+
     # ------------------------------------------------------------------
-    # Mutations (each bumps the cache version)
+    # Mutations (each bumps the cache version and syncs the occupancy)
     # ------------------------------------------------------------------
 
     def enqueue(self, entry: QueuedTask) -> None:
@@ -112,7 +140,8 @@ class CoreState:
         with a stable sort, so a new pmf no shorter than every queued
         one would convolve last anyway, and
         ``convolve(cached, new)`` reproduces the full recomputation
-        bitwise.  Shorter pmfs fall back to invalidation (the kernel
+        bitwise.  The extension waits in ``_queue_tail`` until a ready
+        pmf is read.  Shorter pmfs fall back to invalidation (the kernel
         cache makes the eventual recomputation cheap).
         """
         if self.running is None:
@@ -123,12 +152,13 @@ class CoreState:
             self._queue_conv = entry.exec_pmf
             self._queue_maxlen = n
         elif self._queue_conv is not None and n >= self._queue_maxlen:
-            self._queue_conv = convolve(self._queue_conv, entry.exec_pmf)
+            self._queue_tail.append(entry.exec_pmf)
             self._queue_maxlen = n
         else:
-            self._queue_conv = None
+            self._invalidate_queue_conv()
         self.queue.append(entry)
         self._version += 1
+        self._sync_occupancy()
 
     def set_running(self, running: RunningTask) -> None:
         """Begin executing a task (the core must not be busy)."""
@@ -136,6 +166,7 @@ class CoreState:
             raise RuntimeError("core already running a task")
         self.running = running
         self._version += 1
+        self._sync_occupancy()
 
     def clear_running(self) -> None:
         """Mark the running task finished."""
@@ -143,6 +174,7 @@ class CoreState:
             raise RuntimeError("no running task to clear")
         self.running = None
         self._version += 1
+        self._sync_occupancy()
 
     def interrupt(self) -> RunningTask:
         """Forcibly remove the running task (fault injection only).
@@ -158,6 +190,7 @@ class CoreState:
         self.running = None
         self.epoch += 1
         self._version += 1
+        self._sync_occupancy()
         return running
 
     def drain_queue(self) -> list[QueuedTask]:
@@ -167,7 +200,8 @@ class CoreState:
         entries = list(self.queue)
         self.queue.clear()
         self._version += 1
-        self._queue_conv = None
+        self._invalidate_queue_conv()
+        self._sync_occupancy()
         return entries
 
     def pop_next(self) -> QueuedTask | None:
@@ -176,7 +210,8 @@ class CoreState:
             return None
         entry = self.queue.popleft()
         self._version += 1
-        self._queue_conv = None
+        self._invalidate_queue_conv()
+        self._sync_occupancy()
         return entry
 
     def remove_queued(self, task_id: int) -> QueuedTask | None:
@@ -185,13 +220,18 @@ class CoreState:
             if entry.task.task_id == task_id:
                 self.queue.remove(entry)
                 self._version += 1
-                self._queue_conv = None
+                self._invalidate_queue_conv()
+                self._sync_occupancy()
                 return entry
         return None
 
     # ------------------------------------------------------------------
     # Ready-time distribution
     # ------------------------------------------------------------------
+
+    def _invalidate_queue_conv(self) -> None:
+        self._queue_conv = None
+        self._queue_tail.clear()
 
     def _queue_convolution(self) -> PMF | None:
         """Cached convolution of queued tasks' execution pmfs."""
@@ -200,6 +240,12 @@ class CoreState:
         if self._queue_conv is None:
             self._queue_conv = convolve_many([e.exec_pmf for e in self.queue])
             self._queue_maxlen = max(len(e.exec_pmf) for e in self.queue)
+        elif self._queue_tail:
+            conv = self._queue_conv
+            for pmf in self._queue_tail:
+                conv = convolve(conv, pmf)
+            self._queue_conv = conv
+            self._queue_tail.clear()
         return self._queue_conv
 
     def ready_pmf(self, t_now: float) -> PMF:
@@ -221,6 +267,27 @@ class CoreState:
         self._ready_pmf = ready
         self._ready_trunc_start = running_c.start
         return ready
+
+
+def shared_occupancy(cores: Sequence[CoreState]) -> np.ndarray:
+    """The array holding every core's :attr:`~CoreState.assigned_count`.
+
+    Entry ``i`` belongs to ``cores[i]`` and follows its mutations.  Cores
+    already bound to one array in list order keep it (so several mappers
+    over one core list share it); otherwise they are rebound to a fresh
+    array seeded with their current counts.
+    """
+    occupancy = cores[0]._occupancy if cores else np.zeros(0, dtype=np.int64)
+    if occupancy.size != len(cores) or any(
+        core._occupancy is not occupancy or core._occupancy_slot != slot
+        for slot, core in enumerate(cores)
+    ):
+        occupancy = np.zeros(len(cores), dtype=np.int64)
+        for slot, core in enumerate(cores):
+            core._occupancy = occupancy
+            core._occupancy_slot = slot
+            occupancy[slot] = core.assigned_count
+    return occupancy
 
 
 class RollingEnergyBudget:

@@ -52,6 +52,31 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             make_cands(eet=np.array([1.0]))
 
+    def test_columns_need_arrays_or_a_source(self):
+        with pytest.raises(TypeError, match="columns source"):
+            make_cands(ect=None)
+
+    def test_source_fills_missing_columns_once(self):
+        calls = []
+
+        class Source:
+            def ect(self):
+                calls.append("ect")
+                return np.arange(6.0)
+
+            def prob_on_time(self):
+                calls.append("prob_on_time")
+                return np.full(6, 0.5)
+
+        cands = make_cands(ect=None, prob_on_time=None, columns=Source())
+        assert not calls
+        assert cands.ect is cands.ect
+        assert calls == ["ect"]
+        cands.seal()
+        with pytest.raises(RuntimeError, match="committed"):
+            cands.prob_on_time
+        assert calls == ["ect"]
+
     def test_misaligned_mask_rejected(self):
         with pytest.raises(ValueError):
             make_cands(mask=np.ones(3, dtype=bool))

@@ -5,7 +5,9 @@ with a kernel cache installed.  This module keeps the straightforward
 versions it replaced, as test oracles only:
 
 * :func:`build_candidate_set` — one pass over every core, scoring each
-  with :func:`~repro.robustness.completion.prob_on_time_all_pstates`;
+  with :func:`~repro.robustness.completion.prob_on_time_all_pstates`,
+  every column computed eagerly (the builder computes ``ect`` and
+  ``prob_on_time`` only when read);
 * :func:`reference_engine` — patches every engine built inside it to
   run on the per-core loop and/or without a kernel cache.
 """

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.perf.kernels import available_backends, resolve_backend
 from repro.robustness.completion import prob_on_time
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
@@ -113,6 +114,46 @@ class TestBuildCandidates:
         idle = cands.prob_on_time[twins[1] * P]
         assert busy <= idle + 1e-9
 
+
+class TestOnDemandColumns:
+    """``ect`` / ``prob_on_time`` are computed when read, with every backend."""
+
+    @pytest.fixture()
+    def busy(self, tiny_system, cores):
+        task = tiny_system.workload.tasks[0]
+        t = task.arrival
+        pmf = tiny_system.table.pmf(task.type_id, cores[0].node_index, 0)
+        cores[0].set_running(RunningTask(task, 0, pmf, start_time=t, completion_time=t + 100))
+        cores[0].enqueue(QueuedTask(task, 0, pmf))
+        return cores
+
+    def test_build_leaves_cores_untouched(self, tiny_system, busy, monkeypatch):
+        def no_ready_pmf(core, t_now):
+            raise AssertionError("build() computed a ready pmf")
+
+        monkeypatch.setattr(CoreState, "ready_pmf", no_ready_pmf)
+        task = tiny_system.workload.tasks[3]
+        cands = _build(task, busy, tiny_system.table, task.arrival)
+        P = tiny_system.cluster.num_pstates
+        assert np.all(cands.queue_len[:P] == 2)
+        with pytest.raises(AssertionError, match="ready pmf"):
+            cands.ect
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_each_backend_matches_scalar_reference(self, tiny_system, busy, backend):
+        task = tiny_system.workload.tasks[3]
+        t = task.arrival
+        builder = CandidateBuilder(busy, tiny_system.table, backend=resolve_backend(backend))
+        cands = builder.build(task, t)
+        P = tiny_system.cluster.num_pstates
+        for cid in (0, len(busy) - 1):
+            ready = busy[cid].ready_pmf(t)
+            node = busy[cid].node_index
+            for pi in range(P):
+                exec_pmf = tiny_system.table.pmf(task.type_id, node, pi)
+                expected = prob_on_time(ready, exec_pmf, task.deadline)
+                assert cands.prob_on_time[cid * P + pi] == pytest.approx(expected, abs=1e-12)
+                assert cands.ect[cid * P + pi] == pytest.approx(ready.mean() + cands.eet[cid * P + pi])
 
 
 class TestBuilderInputs:
