@@ -17,7 +17,8 @@ honest answer:
   batch means approximately independent; the t-interval over *them* is
   asymptotically valid (Law & Kelton, ch. 9).
 
-The estimators are pure NumPy over plain sequences (package imports are
+The estimators are pure NumPy over plain sequences (plus
+``scipy.special.stdtrit`` for the t quantile; package imports are
 deferred inside the window-row conveniences), so both the offline report
 path and the live telemetry layer (:mod:`repro.obs.telemetry`) can call
 them without import cycles.
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
+from scipy.special import stdtrit
 
 __all__ = [
     "SteadyStateSummary",
@@ -48,15 +50,8 @@ _MIN_CI_SAMPLES = 4
 
 
 def _t_quantile(p: float, dof: int) -> float:
-    """Two-sided Student-t critical value (normal fallback without scipy)."""
-    try:
-        from scipy import stats
-
-        return float(stats.t.ppf(p, dof))
-    except ImportError:  # pragma: no cover - scipy is present in CI
-        from statistics import NormalDist
-
-        return float(NormalDist().inv_cdf(p))
+    """Student-t quantile: the ``x`` with ``P[T_dof <= x] = p``."""
+    return float(stdtrit(dof, p))
 
 
 def mser_truncation(values: Sequence[float], *, batch: int = MSER_BATCH) -> int:

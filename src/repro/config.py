@@ -14,6 +14,7 @@ documented in ``DESIGN.md`` §4).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -88,10 +89,14 @@ class GridConfig:
     tail_sigmas: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.tail_sigmas <= 0.0:
-            raise ValueError(f"tail_sigmas must be positive, got {self.tail_sigmas}")
+        # ``not isfinite or <= 0``: NaN compares False both ways, and a
+        # scenario file can spell ``nan``/``inf`` (TOML literals).
+        if not math.isfinite(self.dt) or self.dt <= 0.0:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.tail_sigmas) or self.tail_sigmas <= 0.0:
+            raise ValueError(
+                f"tail_sigmas must be positive and finite, got {self.tail_sigmas}"
+            )
 
 
 @dataclass(frozen=True)
@@ -183,8 +188,9 @@ class WorkloadConfig:
         if self.burst_head + self.burst_tail > self.num_tasks:
             raise ValueError("bursts cannot exceed the total task count")
         for name in ("mu_task", "v_task", "v_mach", "exec_cv"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.slow_ratio < 1.0 < self.fast_ratio):
             raise ValueError("need slow_ratio < 1 < fast_ratio")
 

@@ -66,7 +66,7 @@ static inline void kadd(ksum *k, double x) {
 static inline double kval(const ksum *k) { return k->s + k->c; }
 
 /* Finished linear convolution: raw product, normalize, tail-trim —
- * branch for branch the flow of repro.stoch.ops._finalize_conv.
+ * branch for branch the flow of repro.stoch.ops._finalize.
  * `out` has room for na + nb - 1 doubles; returns the trimmed length
  * and writes the trim offset into *lo_out. */
 int64_t repro_conv_full(const double *a, int64_t na,

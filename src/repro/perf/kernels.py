@@ -80,7 +80,7 @@ class KernelBackend:
     ``conv_full(a, b) -> (probs, lo)``
         Finished linear convolution of two probability arrays:
         normalized, tail-trimmed exactly as
-        ``repro.stoch.ops._finalize_conv`` trims, returned read-only
+        ``repro.stoch.ops._finalize`` trims, returned read-only
         with the trim offset ``lo`` in grid bins.
     ``trunc_tail(probs, k) -> probs | None``
         The renormalized tail ``probs[k:]`` (``0 < k < len(probs)``),

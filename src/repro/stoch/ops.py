@@ -130,21 +130,15 @@ def convolve(a: PMF, b: PMF) -> PMF:
         if _op_observer is not None:
             _op_observer("convolve", a.probs.size + b.probs.size - 1)
         return PMF._intern(a.start + b.start + lo * a.dt, a.dt, probs)
-    if _kernel_cache is not None:
-        # Convolution results repeat far too rarely to be worth interning
-        # (queue convolutions incorporate an ever-changing accumulator),
-        # but the validation-free finalizer still applies: the raw
-        # product of two valid probability arrays needs no re-checking.
-        probs = np.convolve(a.probs, b.probs)
-        if _op_observer is not None:
-            _op_observer("convolve", probs.size)
-        return _finalize_conv(a.start + b.start, a.dt, probs)
+    # Convolution results repeat far too rarely to be worth interning
+    # (queue convolutions incorporate an ever-changing accumulator), so
+    # the kernel cache plays no part here.
     probs = np.convolve(a.probs, b.probs)
     if _op_observer is not None:
         # Count only materialized convolutions (delta shortcuts above are
         # free); the grid size is the produced support length.
         _op_observer("convolve", probs.size)
-    return PMF(a.start + b.start, a.dt, probs).compact()
+    return _finalize(a.start + b.start, a.dt, probs)
 
 
 def convolve_many(pmfs: Sequence[PMF]) -> PMF:
@@ -287,15 +281,23 @@ def _truncate_tail(
     return PMF(pmf.start + k * pmf.dt, pmf.dt, tail)
 
 
-def _finalize_conv(base: float, dt: float, raw: np.ndarray) -> PMF:
+def _finalize(base: float, dt: float, raw: np.ndarray) -> PMF:
     """``PMF(base, dt, raw).compact()`` minus the redundant validation.
 
-    ``raw`` is the product of two valid probability arrays, so it is
-    finite and non-negative with positive total by construction; the
-    normalization and trimming below follow PMF.__init__ and
-    PMF.compact branch for branch, producing bitwise-identical arrays.
+    The one finalizer for every pmf built from masses known to be valid:
+    convolution products of two valid probability arrays and the
+    discretizers' checked bin masses (:mod:`repro.stoch.distributions`).
+    ``raw`` must be finite and non-negative; the normalization and
+    trimming below follow PMF.__init__ and PMF.compact branch for
+    branch, producing bitwise-identical arrays.  An all-zero ``raw`` (a
+    law narrower than one bin) puts all mass in its middle bin.  A
+    ``raw`` that views a caller's buffer is copied, never aliased.
     """
     total = float(raw.sum())
+    if total <= 0.0:
+        raw = np.zeros(raw.size)
+        raw[raw.size // 2] = 1.0
+        total = 1.0
     arr = raw / total if abs(total - 1.0) > _RTOL else raw
     thresh = float(arr.max()) * _TRIM_EPS
     # First/last index above threshold without materializing the index
@@ -311,7 +313,7 @@ def _finalize_conv(base: float, dt: float, raw: np.ndarray) -> PMF:
         hi = arr.size - 1 - int(keep[::-1].argmax())
     if lo == 0 and hi == arr.size - 1:
         start = base
-        out = arr
+        out = arr if arr.base is None else arr.copy()
     else:
         sl = arr[lo : hi + 1]
         t2 = float(sl.sum())

@@ -19,9 +19,12 @@ needs:
 Construction cost matters: the table is rebuilt per trial per worker,
 and at paper scale it holds T*N*P = 4,000 discretized gammas.  Every
 cell is evaluated through one vectorized
-:func:`~repro.stoch.distributions.discretized_gamma_batch` call (a
-single scipy CDF round trip instead of 4,000), bitwise identical per
-cell to :func:`~repro.stoch.distributions.discretized_gamma`, and the
+:func:`~repro.stoch.distributions.discretized_gamma_batch` call: one
+``scipy.special.gammainc`` pass over all cells' bin edges, one
+finiteness scan over all bin masses, and no per-cell
+:class:`~repro.stoch.pmf.PMF` validation.  Each cell is bitwise
+identical to the per-cell ``scipy.stats.gamma.cdf`` +
+``PMF(...).compact()`` formulation the tests keep as the oracle.  The
 padded matrices are deferred to first :meth:`padded` access — the mapper
 only ever asks for the task types that actually arrive.  Padding is a
 pure function of the cell's pmfs, so laziness is results-neutral.

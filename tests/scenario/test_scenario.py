@@ -279,6 +279,18 @@ class TestFromFile:
         with pytest.raises(ScenarioError, match="typo.toml.*did you mean 'MECT'"):
             Scenario.from_file(path)
 
+    @pytest.mark.parametrize(
+        "section, field, literal",
+        [("workload", "exec_cv", "nan"), ("grid", "dt", "inf")],
+    )
+    def test_non_finite_config_values_rejected(self, tmp_path, section, field, literal):
+        # TOML spells nan/inf; they must stop at the config, not deep in
+        # the pmf table build.
+        path = tmp_path / "nonfinite.toml"
+        path.write_text(f"[sim.{section}]\n{field} = {literal}\n")
+        with pytest.raises(ScenarioError, match=f"nonfinite.toml.*{field} must be positive"):
+            Scenario.from_file(path)
+
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         path.write_text("mode: trial\n")

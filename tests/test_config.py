@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.config import (
@@ -28,6 +30,12 @@ class TestGridConfig:
     def test_rejects_nonpositive_tail(self):
         with pytest.raises(ValueError):
             GridConfig(tail_sigmas=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["dt", "tail_sigmas"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GridConfig(**{name: value})
 
 
 class TestClusterConfig:
@@ -95,6 +103,12 @@ class TestWorkloadConfig:
     def test_rejects_bad_ratios(self):
         with pytest.raises(ValueError):
             WorkloadConfig(fast_ratio=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["mu_task", "v_task", "v_mach", "exec_cv"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            WorkloadConfig(**{name: value})
 
 
 class TestFilterConfig:
