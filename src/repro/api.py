@@ -29,8 +29,7 @@ The facade groups five things:
   fanned out over processes), :func:`run_service` (continuous-service
   mode) and :func:`budget_sweep` (the energy-tightness sweep).  All
   accept the observability collectors (:class:`MetricsRegistry`,
-  :class:`SpanProfile`, :class:`TimelineSet`, event sinks) and the
-  :class:`PerfConfig` kernel-backend selection.
+  :class:`SpanProfile`, :class:`TimelineSet`, event sinks).
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
@@ -219,8 +218,9 @@ def run_trial(
     later runs reuse the kernel cache and mapper tables the first run
     warmed.  Observability collectors and ``shared`` are
     results-neutral: the returned :class:`TrialResult` is bitwise
-    identical for any combination.  ``perf`` selects the kernel
-    backend (numpy by default, which defines the digests).
+    identical for any combination.  ``perf`` must be a
+    :class:`PerfConfig` or ``None``; it selects nothing, since numpy is
+    the only kernel backend.
 
     ``faults`` injects an in-simulation :class:`FaultSchedule` (node or
     core outages, slowdowns) with recovery behavior set by
@@ -228,6 +228,7 @@ def run_trial(
     controller.  All three default to ``None``: a fault-free run is
     bitwise identical to one on a build without the fault layer.
     """
+    _check_perf(perf)
     return TrialPlan.from_scenario(
         scenario,
         system=system,
@@ -236,7 +237,6 @@ def run_trial(
         sinks=sinks,
         profile=profile,
         timeline=timeline,
-        perf=perf,
         shared=shared,
         faults=faults,
         fault_policy=fault_policy,
@@ -270,9 +270,10 @@ def run_service(
     ``telemetry`` attaches a live :class:`Telemetry` hub (streaming
     quantiles, SLO rules, online steady-state detection); the inert
     default keeps the run bitwise identical to an untelemetered one.
-
-    ``perf`` selects the kernel backend (:class:`PerfConfig`).
+    ``perf`` must be a :class:`PerfConfig` or ``None`` and selects
+    nothing (numpy is the only kernel backend).
     """
+    _check_perf(perf)
     if service is None:
         service = ServiceConfig(traffic="replay")
     if system is None:
@@ -283,7 +284,6 @@ def run_service(
         service,
         timeline=timeline,
         telemetry=telemetry,
-        perf=perf,
     )
 
 
@@ -306,7 +306,7 @@ def run_scenario(
       returning a :class:`ServiceResult`.
 
     Extra keyword ``options`` forward to the mode's runner (collectors,
-    ``n_jobs``, ``perf``, ...), so a scenario file pins the experiment
+    ``n_jobs``, ...), so a scenario file pins the experiment
     while the call site adds observability.
     """
     if isinstance(scenario, (str, Path)):
@@ -330,6 +330,12 @@ def run_scenario(
             **options,  # type: ignore[arg-type]
         )
     return run_service(scenario, scenario.resolved_service(), **options)  # type: ignore[arg-type]
+
+
+def _check_perf(perf: PerfConfig | None) -> None:
+    """Reject a ``perf=`` value that is neither a PerfConfig nor ``None``."""
+    if perf is not None and not isinstance(perf, PerfConfig):
+        raise TypeError(f"perf must be a PerfConfig or None, got {type(perf).__name__}")
 
 
 def _common_config(scenarios: Sequence[Scenario]) -> SimulationConfig:
@@ -372,8 +378,11 @@ def run_ensemble(
     derives its own seed from it.  The resilience options
     (``checkpoint``/``resume``/``trial_timeout``/``max_retries``), the
     ``chunk_size`` dispatch knob, and collectors forward to
-    :func:`repro.experiments.runner.run_ensemble`.
+    :func:`repro.experiments.runner.run_ensemble`.  ``perf`` must be a
+    :class:`PerfConfig` or ``None`` and selects nothing (numpy is the
+    only kernel backend).
     """
+    _check_perf(perf)
     scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
     if not scens:
         raise ValueError("need at least one scenario")
@@ -391,7 +400,6 @@ def run_ensemble(
         sinks=sinks,
         profile=profile,
         timeline=timeline,
-        perf=perf,
         checkpoint=checkpoint,
         resume=resume,
         trial_timeout=trial_timeout,
@@ -407,7 +415,6 @@ def budget_sweep(
     *,
     base_seed: int | None = None,
     n_jobs: int = 1,
-    perf: PerfConfig | None = None,
 ) -> SweepResult:
     """Sweep the energy-budget multiplier over one or more scenarios."""
     scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
@@ -423,5 +430,4 @@ def budget_sweep(
         num_trials,
         base_seed,
         n_jobs=n_jobs,
-        perf=perf,
     )

@@ -80,7 +80,6 @@ from repro.obs.sinks import JsonlSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, parse_rule
 from repro.obs.timeline import TIMELINE_FORMAT, TimelineRecorder, TimelineSet
-from repro.perf import BACKEND_CHOICES, PerfConfig
 from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, serve_system
 from repro.service import write_windows_jsonl
 
@@ -338,38 +337,6 @@ def _obs_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _perf_parent() -> argparse.ArgumentParser:
-    """One argparse parent carrying the performance flags.
-
-    Every engine-running subcommand (trial / serve / figure / grid /
-    sweep) inherits ``--perf-backend`` with the same semantics: pick the
-    kernel implementation for the stochastic hot path.  Left unset, the
-    engine default applies — which itself honours the
-    ``REPRO_PERF_BACKEND`` environment override — so the flag only needs
-    typing when overriding per invocation.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("performance")
-    group.add_argument(
-        "--perf-backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help="kernel backend for the stochastic hot path: numpy (reference, "
-        "default), cext (compiled, opt-in; warns and falls back when no C "
-        "compiler works) or auto (cext if available, else numpy); env "
-        "override: REPRO_PERF_BACKEND",
-    )
-    return parent
-
-
-def _resolve_perf(args: argparse.Namespace) -> PerfConfig | None:
-    """The PerfConfig a subcommand's flags select (``None`` = engine default)."""
-    backend = getattr(args, "perf_backend", None)
-    if backend is None:
-        return None
-    return PerfConfig(backend=backend)
-
-
 def _parse_spec(label: str) -> VariantSpec:
     try:
         heuristic, variant = label.split("/", 1)
@@ -462,7 +429,6 @@ def cmd_trial(args: argparse.Namespace) -> int:
             sinks=sinks,
             profile=recorder,
             timeline=timeline,
-            perf=_resolve_perf(args),
             faults=faults,
             fault_policy=fault_policy,
             shedding=shedding,
@@ -660,7 +626,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             timeline=timeline,
             stop=lambda: stop_requested,
             telemetry=telemetry,
-            perf=_resolve_perf(args),
         )
     except BaseException:
         if server is not None:
@@ -822,7 +787,6 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
             profile=profile, timeline=timeline,
             sinks=(trace_sink,) if trace_sink is not None else (),
-            perf=_resolve_perf(args),
         )
     finally:
         if trace_sink is not None:
@@ -958,7 +922,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
             metrics=metrics, profile=profile, timeline=timeline,
             sinks=(trace_sink,) if trace_sink is not None else (),
-            perf=_resolve_perf(args),
         )
     finally:
         if trace_sink is not None:
@@ -1092,23 +1055,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     obs = _obs_parent()
-    perf = _perf_parent()
 
     p = sub.add_parser("calibrate", help="print subscription/budget diagnostics")
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser(
-        "trial", help="run a single trial of one policy", parents=[obs, perf]
-    )
+    p = sub.add_parser("trial", help="run a single trial of one policy", parents=[obs])
     _add_common(p)
     _add_policy(p)
     _add_faults(p)
     p.set_defaults(func=cmd_trial)
 
-    p = sub.add_parser(
-        "serve", help="run the engine as a continuous service", parents=[perf]
-    )
+    p = sub.add_parser("serve", help="run the engine as a continuous service")
     _add_common(p)
     _add_policy(p)
     p.add_argument(
@@ -1294,9 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_monitor)
 
-    p = sub.add_parser(
-        "figure", help="rerun one of the paper's figures", parents=[obs, perf]
-    )
+    p = sub.add_parser("figure", help="rerun one of the paper's figures", parents=[obs])
     _add_common(p)
     p.add_argument("figure", choices=sorted(FIGURES))
     p.add_argument("--trials", type=int, default=10)
@@ -1306,9 +1262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience(p)
     p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser(
-        "grid", help="run the full 16-variant evaluation", parents=[obs, perf]
-    )
+    p = sub.add_parser("grid", help="run the full 16-variant evaluation", parents=[obs])
     _add_common(p)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--jobs", type=int, default=1)
@@ -1347,9 +1301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg-dir", help="also write SVG box plots here")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser(
-        "sweep", help="sweep the energy-budget multiplier", parents=[obs, perf]
-    )
+    p = sub.add_parser("sweep", help="sweep the energy-budget multiplier", parents=[obs])
     _add_common(p)
     p.add_argument(
         "--multipliers",

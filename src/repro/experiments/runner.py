@@ -57,7 +57,6 @@ from repro.obs.manifest import config_digest
 from repro.obs.sinks import EventSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.timeline import TimelineRecorder, TimelineSet
-from repro.perf.kernel_cache import PerfConfig
 from repro.perf.trial_cache import TrialCache
 from repro.sim.engine import run_trial
 from repro.sim.results import TrialResult
@@ -113,9 +112,7 @@ class TrialPlan:
     the simulated decisions — and therefore the result — are bitwise
     identical either way.
 
-    ``perf`` selects the kernel backend (:mod:`repro.perf`); ``None``
-    means the numpy default.  ``shared`` carries
-    the warm cross-spec caches of the trial
+    ``shared`` carries the warm cross-spec caches of the trial
     (:class:`~repro.perf.TrialCache`); reuse one handle for every spec
     run against the same ``system``.  ``faults`` / ``fault_policy`` /
     ``shedding`` thread the in-simulation fault layer
@@ -130,7 +127,6 @@ class TrialPlan:
     sinks: Sequence[EventSink] = ()
     profile: SpanRecorder | None = None
     timeline: TimelineRecorder | None = None
-    perf: PerfConfig | None = None
     shared: TrialCache | None = None
     faults: FaultSchedule | None = None
     fault_policy: FaultPolicy | None = None
@@ -174,7 +170,6 @@ class TrialPlan:
                 metrics=self.metrics,
                 profile=self.profile,
                 timeline=self.timeline,
-                perf=self.perf,
                 shared=self.shared,
                 faults=self.faults,
                 fault_policy=self.fault_policy,
@@ -185,7 +180,6 @@ class TrialPlan:
                 self.system,
                 heuristic,
                 chain,
-                perf=self.perf,
                 shared=self.shared,
                 faults=self.faults,
                 fault_policy=self.fault_policy,
@@ -215,7 +209,6 @@ def _run_one_trial(
         bool,
         bool,
         float | None,
-        PerfConfig | None,
     ],
 ) -> _TrialValue:
     """Worker: build trial ``i``'s system and run every spec against it.
@@ -241,7 +234,6 @@ def _run_one_trial(
         collect_metrics,
         collect_spans,
         timeline_dt,
-        perf,
     ) = args
     seed = rng_mod.spawn_trial_seed(base_seed, trial_index)
     recorder = (
@@ -276,7 +268,6 @@ def _run_one_trial(
                 metrics=registry,
                 profile=recorder,
                 timeline=tl,
-                perf=perf,
                 shared=shared,
             ).run()
         )
@@ -376,7 +367,6 @@ def run_ensemble(
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
-    perf: PerfConfig | None = None,
 ) -> EnsembleResult:
     """Run ``num_trials`` paired trials of every spec.
 
@@ -433,11 +423,6 @@ def run_ensemble(
         contributes one sampled state timeline per spec at the set's
         ``dt``, on the same stream id as the trial's spans
         (``trial + 1``).  Fully deterministic for a fixed seed.
-    perf:
-        Kernel backend selection (:class:`~repro.perf.PerfConfig`)
-        forwarded to every trial.  Not part of the config digest, so
-        checkpoints and manifests written with different ``perf``
-        settings interoperate.
     """
     specs = tuple(specs)
     if not specs:
@@ -511,7 +496,7 @@ def run_ensemble(
             payloads = {
                 i: (
                     config, base_seed, i, specs, keep_outcomes,
-                    collect, collect_spans, timeline_dt, perf,
+                    collect, collect_spans, timeline_dt,
                 )
                 for i in pending
             }

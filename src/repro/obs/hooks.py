@@ -47,7 +47,6 @@ from repro.obs.sinks import (
 )
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
-from repro.perf.kernel_cache import PerfConfig
 from repro.perf.trial_cache import TrialCache
 from repro.sim.engine import Engine
 from repro.sim.results import TrialResult
@@ -301,7 +300,6 @@ def observe_trial(
     metrics: MetricsRegistry | None = None,
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    perf: PerfConfig | None = None,
     shared: TrialCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -352,7 +350,6 @@ def observe_trial(
             engine_chain,
             hooks=hooks,
             tracer=profile,
-            perf=perf,
             shared=shared,
             faults=faults,
             fault_policy=fault_policy,

@@ -15,39 +15,22 @@ keep under ``tests/perf``):
   kernel cache and the builder's type tables across every spec of a
   trial (all specs run the same :class:`~repro.sim.system.TrialSystem`).
 
-The one selectable knob, :class:`PerfConfig`'s ``backend``, sits under
-a documented ≤1e-12 tolerance instead of bitwise identity: the
-**compiled kernel backend** (:mod:`repro.perf.kernels`) replaces the
-stochastic hot kernels — convolution, tail truncation, the
-``prob_sum_at_most`` dot, the mapper's batched prob-on-time rows — with
-C-compiled loops.  The numpy path remains the default and always
-available; digests and manifests are always defined by it.
+All of it runs on numpy, the only kernel backend, so every
+probability has one reduction order and mapping decisions do not
+depend on how a run was launched.  :class:`PerfConfig` accepts only
+``backend="numpy"``.
 
 Measurements live in the repository benchmark (``BENCHMARK.json``,
 ``perfbench/``).
 """
 
 from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig
-from repro.perf.kernels import (
-    BACKEND_CHOICES,
-    KernelBackend,
-    available_backends,
-    default_backend_name,
-    describe_backends,
-    resolve_backend,
-)
 from repro.perf.trial_cache import TrialCache
 
 __all__ = [
-    "BACKEND_CHOICES",
     "CacheStats",
     "InternedKernel",
-    "KernelBackend",
     "KernelCache",
     "PerfConfig",
     "TrialCache",
-    "available_backends",
-    "default_backend_name",
-    "describe_backends",
-    "resolve_backend",
 ]

@@ -37,17 +37,12 @@ alongside the existing per-operation counts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.perf.kernels import (
-    BACKEND_CHOICES,
-    KernelBackend,
-    default_backend_name,
-    resolve_backend,
-)
+from repro.perf.kernels import resolve_backend
 from repro.stoch.pmf import PMF
 
 __all__ = ["CacheStats", "InternedKernel", "KernelCache", "PerfConfig"]
@@ -237,41 +232,20 @@ class KernelCache:
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """The one knob of the hot-path performance layer.
+    """The kernel backend selection, with numpy as its one value.
 
     The kernel cache and the vectorized candidate builder are always
-    on; what remains selectable is which kernel implementation runs
-    them.  Compiled backends agree with the numpy path to ≤1e-12 (see
-    :mod:`repro.perf.kernels`), which is why ``backend`` defaults to
-    ``"numpy"`` and digests are always defined by the numpy path.  Not
-    part of :class:`~repro.config.SimulationConfig`, so manifest and
-    config digests are independent of how the run was computed.
+    on, and numpy is the only kernel backend, so this selects nothing.
+    Not part of :class:`~repro.config.SimulationConfig`, so manifest
+    and config digests do not depend on it.
 
     Attributes
     ----------
     backend:
-        ``"numpy"`` (the default), ``"cext"`` (compiled, opt-in,
-        warn-and-fall-back when unavailable) or ``"auto"`` (cext when a
-        compiler works, else numpy, silently).  The default honours the
-        ``REPRO_PERF_BACKEND`` environment override so deployments can
-        opt in without touching call sites.
+        ``"numpy"``; any other name raises ``ValueError``.
     """
 
-    backend: str = field(default_factory=default_backend_name)
+    backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
-
-    def make_backend(self) -> KernelBackend | None:
-        """Resolve the configured kernel backend (``None`` = numpy path).
-
-        Warns and falls back to the numpy path when an explicitly
-        requested compiled backend cannot be loaded; ``"auto"`` probes
-        silently.  Resolution is cached per process, so this is cheap
-        to call once per engine.
-        """
-        return resolve_backend(self.backend)
+        resolve_backend(self.backend)

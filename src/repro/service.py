@@ -42,7 +42,6 @@ from repro.experiments.runner import VariantSpec, policy_for
 from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.timeline import TimelineRecorder
-from repro.perf.kernel_cache import PerfConfig
 from repro.registry import TRAFFIC_PLUGINS, TrafficContext
 from repro.sim.engine import Engine
 from repro.sim.metrics import WindowAccumulator, WindowStats
@@ -398,7 +397,6 @@ def serve_system(
     timeline: TimelineRecorder | None = None,
     stop: Callable[[], bool] | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
-    perf: PerfConfig | None = None,
 ) -> ServiceResult:
     """Run one spec as a continuous service against a built trial system.
 
@@ -416,9 +414,6 @@ def serve_system(
     fed per-event (latency, queue depth) and per-window (energy, SLO
     rules, steady state).  The default :data:`NULL_TELEMETRY` is inert
     and keeps results bitwise identical to a run without it.
-
-    ``perf`` selects the kernel backend
-    (:class:`~repro.perf.PerfConfig`); ``None`` means the engine default.
     """
     eq_rate = system.workload.rates.eq
     mean_rate = service.rate_mult * eq_rate
@@ -446,7 +441,6 @@ def serve_system(
             chain,
             hooks=hooks,
             ledger=ledger,
-            perf=perf,
             faults=service.faults,
             fault_policy=service.fault_policy,
             shedding=service.shedding,
@@ -519,7 +513,6 @@ def serve_system(
         tasks_left=planning,
         luck=_LuckSource(seed),
         track_outcomes=False,
-        perf=perf,
         faults=service.faults,
         fault_policy=service.fault_policy,
         shedding=service.shedding,

@@ -54,14 +54,14 @@ from repro.faults import (
 )
 from repro.filters.chain import FilterChain
 from repro.heuristics.base import Heuristic, MappingContext
-from repro.perf.kernel_cache import CacheStats, PerfConfig
+from repro.perf.kernel_cache import CacheStats
 from repro.perf.trial_cache import TrialCache
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.metrics import TraceCollector
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
 from repro.sim.system import TrialSystem
-from repro.stoch.ops import set_kernel_backend, set_kernel_cache
+from repro.stoch.ops import set_kernel_cache
 from repro.workload.task import Task
 
 __all__ = ["Engine", "EngineHooks", "Tracer", "run_trial"]
@@ -144,11 +144,6 @@ class Engine:
         Optional :class:`EngineHooks` for extensions.
     tracer:
         Optional :class:`Tracer` timing each event handler as a span.
-    perf:
-        Kernel backend selection (:class:`~repro.perf.PerfConfig`);
-        ``None`` means the numpy default.  Deliberately *not* part of
-        :class:`~repro.config.SimulationConfig`, so manifest/config
-        digests are independent of how the run was computed.
     shared:
         Optional :class:`~repro.perf.TrialCache` carrying warm state
         from earlier specs of the same trial (kernel cache + builder
@@ -213,7 +208,6 @@ class Engine:
         collector: TraceCollector | None = None,
         hooks: EngineHooks | None = None,
         tracer: Tracer | None = None,
-        perf: PerfConfig | None = None,
         shared: TrialCache | None = None,
         ledger: EnergyLedger | StreamingEnergyMeter | None = None,
         rolling_budget: RollingEnergyBudget | None = None,
@@ -230,7 +224,6 @@ class Engine:
         self.collector = collector
         self.hooks = hooks
         self.tracer = tracer
-        self.perf = perf if perf is not None else PerfConfig()
 
         cluster = system.cluster
         dt = system.config.grid.dt
@@ -242,15 +235,8 @@ class Engine:
             shared = TrialCache()  # private to this engine
         self._kernel_cache = shared.kernel
         self._cache_base: CacheStats | None = None
-        # Resolved once per engine (cheap after the first: loaded
-        # backends are cached per process); installed into stoch.ops for
-        # exactly the duration of run()/serve(), like the kernel cache.
-        self._kernel_backend = self.perf.make_backend()
         self._builder = CandidateBuilder(
-            self.cores,
-            system.table,
-            type_tables=shared.mapper_tables(system.table),
-            backend=self._kernel_backend,
+            self.cores, system.table, type_tables=shared.mapper_tables(system.table)
         )
         self.ledger = (
             EnergyLedger(cluster, system.config.energy.idle_power_mode)
@@ -711,7 +697,6 @@ class Engine:
         # private cache, the previous specs' totals for a shared one.
         self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
-        previous_backend = set_kernel_backend(self._kernel_backend)
         try:
             end_time = self._event_loop(iter(self.system.workload.tasks))
             self.ledger.close(end_time)
@@ -720,7 +705,6 @@ class Engine:
             with self.tracer.span("engine.score"):
                 return self._score(end_time)
         finally:
-            set_kernel_backend(previous_backend)
             set_kernel_cache(previous_cache)
 
     def serve(self, arrivals: Iterable[Task]) -> float:
@@ -739,13 +723,11 @@ class Engine:
         self._ran = True
         self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
-        previous_backend = set_kernel_backend(self._kernel_backend)
         try:
             end_time = self._event_loop(iter(arrivals))
             self.ledger.close(end_time)
             return end_time
         finally:
-            set_kernel_backend(previous_backend)
             set_kernel_cache(previous_cache)
 
     def _event_loop(self, arrivals: Iterator[Task]) -> float:
@@ -908,7 +890,6 @@ def run_trial(
     collector: TraceCollector | None = None,
     hooks: EngineHooks | None = None,
     tracer: Tracer | None = None,
-    perf: PerfConfig | None = None,
     shared: TrialCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -922,7 +903,6 @@ def run_trial(
         collector=collector,
         hooks=hooks,
         tracer=tracer,
-        perf=perf,
         shared=shared,
         faults=faults,
         fault_policy=fault_policy,

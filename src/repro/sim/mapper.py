@@ -45,11 +45,8 @@ from repro.workload.task import Task
 __all__ = ["CandidateBuilder"]
 
 #: Per-type tables: EET (C, P), EET and EEC flattened, the node-stacked
-#: padded time/probability matrices, and each node's native pad width
-#: as a tuple and as an int64 array.
-_TypeTables = tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray
-]
+#: padded time/probability matrices, and each node's native pad width.
+_TypeTables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]
 
 
 class CandidateBuilder:
@@ -77,7 +74,6 @@ class CandidateBuilder:
         "_dt",
         "_node_cores",
         "_by_type",
-        "_backend",
     )
 
     def __init__(
@@ -86,7 +82,6 @@ class CandidateBuilder:
         table: ExecutionTimeTable,
         *,
         type_tables: dict | None = None,
-        backend=None,
     ) -> None:
         self._cores = list(cores)
         self._table = table
@@ -122,12 +117,6 @@ class CandidateBuilder:
         # entries are pure functions of (table, type_id), so sharing is
         # exact.
         self._by_type: dict[int, _TypeTables] = type_tables if type_tables is not None else {}
-        # Optional compiled kernel set (repro.perf.KernelBackend): when
-        # set, the probability rows come from one compiled score_rows
-        # call instead of the batched numpy passes.  Same inputs, same
-        # index arithmetic; only the row reductions accumulate
-        # sequentially (the documented compiled-backend tolerance).
-        self._backend = backend
 
     def _type_tables(self, type_id: int) -> _TypeTables:
         cached = self._by_type.get(type_id)
@@ -156,12 +145,9 @@ class CandidateBuilder:
                 times_stack[n, :, :length] = pad.times
                 times_stack[n, :, length:] = pad.times[:, -1:]
                 probs_stack[n, :, :length] = pad.probs
-            # int64 mirror of ``widths`` for compiled score_rows calls
-            # (ctypes takes an array, not a Python tuple).
-            widths_arr = np.array(widths, dtype=np.int64)
-            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack, widths_arr):
+            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack):
                 arr.setflags(write=False)
-            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths, widths_arr)
+            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths)
             self._by_type[type_id] = cached
         return cached
 
@@ -238,7 +224,7 @@ class CandidateBuilder:
         the same values, as prob_on_time_all_pstates evaluates one core
         at a time.
         """
-        _, _, _, times_stack, probs_stack, widths, widths_arr = tables
+        _, _, _, times_stack, probs_stack, widths = tables
         dt = self._dt
         rows_pmf = ready.rows
         node_blocks = ready.node_blocks
@@ -247,90 +233,60 @@ class CandidateBuilder:
         sizes_l = [pmf.probs.size for pmf in rows_pmf]
         sizes = np.array(sizes_l, dtype=np.int64)
         cdfs = [pmf.cdf for pmf in rows_pmf]
-        be = self._backend
-        if be is not None:
-            # Compiled pass: one score_rows call replaces the offset
-            # grid, gather and einsum below.  The CDFs concatenate
-            # without sentinels — the kernel's ``k >= 0`` branch covers
-            # the query-before-start case directly — and each row
-            # reduces over its node's native pad width, exactly like
-            # the reference terms.
-            offsets = np.empty(u, dtype=np.int64)
-            acc = 0
-            for i, size in enumerate(sizes_l):
-                offsets[i] = acc
-                acc += size
-            cdf_flat = np.concatenate(cdfs) if u > 1 else cdfs[0]
-            row_node = np.empty(u, dtype=np.int64)
-            for node, row_lo, row_hi in node_blocks:
-                row_node[row_lo:row_hi] = node
-            rows = be.score_rows(
-                times_stack,
-                probs_stack,
-                widths_arr,
-                starts,
-                sizes,
-                offsets,
-                row_node,
-                cdf_flat,
-                deadline,
-                dt,
+        # ``deadline - time`` for every (node, P-state, impulse) —
+        # the same elementwise expression the reference evaluates
+        # per node (elementwise ufuncs are exact per element
+        # regardless of batching).
+        a_stack = deadline - times_stack  # (N, P, width)
+        # floor((a - start) / dt + 1e-9) in-place on a writable
+        # stack of each distinct pmf's node rows: the same
+        # elementwise chain as the expression form, without the
+        # intermediate temporaries.
+        work = np.empty((u, a_stack.shape[1], a_stack.shape[2]))
+        for node, row_lo, row_hi in node_blocks:
+            work[row_lo:row_hi] = a_stack[node]
+        np.subtract(work, starts[:, None, None], out=work)
+        np.divide(work, dt, out=work)
+        np.add(work, 1e-9, out=work)
+        np.floor(work, out=work)
+        ks_all = work.astype(np.int64)
+        np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
+        np.maximum(ks_all, -1, out=ks_all)
+        # One flat gather over all distinct CDFs, with an exact-0.0
+        # sentinel ahead of each block: entry ``j`` of pmf ``i``
+        # lives at ``offsets[i] + j`` and the clamped ``j == -1``
+        # (query before the pmf's start) lands on the sentinel — the
+        # same per-element values the reference's ``np.where`` form
+        # produces, without materializing the mask.
+        offsets_l: list[int] = []
+        acc = 1
+        for size in sizes_l:
+            offsets_l.append(acc)
+            acc += size + 1
+        flat_cdf = np.zeros(acc - 1)
+        for i, cdf in enumerate(cdfs):
+            off = offsets_l[i]
+            flat_cdf[off : off + cdf.size] = cdf
+        np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
+        fr_all = np.take(flat_cdf, ks_all)
+        # One sum-of-products per node over its contiguous row
+        # block: einsum's u axis is an outer loop over independent
+        # (p, l) reductions, so each row is bitwise the per-slice
+        # two-operand reduction, and broadcasting the node's shared
+        # probability matrix avoids a gather copy.  Sliced to the
+        # node's native pad width: the reduction must run over
+        # exactly the reference's terms, because extra zero-probability
+        # columns — while value-neutral term by term — change the
+        # inner loop's accumulator blocking and therefore rounding.
+        rows = np.empty((u, self._num_pstates))
+        for node, row_lo, row_hi in node_blocks:
+            w = widths[node]
+            np.einsum(
+                "pl,upl->up",
+                probs_stack[node, :, :w],
+                fr_all[row_lo:row_hi, :, :w],
+                out=rows[row_lo:row_hi],
             )
-        else:
-            # ``deadline - time`` for every (node, P-state, impulse) —
-            # the same elementwise expression the reference evaluates
-            # per node (elementwise ufuncs are exact per element
-            # regardless of batching).
-            a_stack = deadline - times_stack  # (N, P, width)
-            # floor((a - start) / dt + 1e-9) in-place on a writable
-            # stack of each distinct pmf's node rows: the same
-            # elementwise chain as the expression form, without the
-            # intermediate temporaries.
-            work = np.empty((u, a_stack.shape[1], a_stack.shape[2]))
-            for node, row_lo, row_hi in node_blocks:
-                work[row_lo:row_hi] = a_stack[node]
-            np.subtract(work, starts[:, None, None], out=work)
-            np.divide(work, dt, out=work)
-            np.add(work, 1e-9, out=work)
-            np.floor(work, out=work)
-            ks_all = work.astype(np.int64)
-            np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
-            np.maximum(ks_all, -1, out=ks_all)
-            # One flat gather over all distinct CDFs, with an exact-0.0
-            # sentinel ahead of each block: entry ``j`` of pmf ``i``
-            # lives at ``offsets[i] + j`` and the clamped ``j == -1``
-            # (query before the pmf's start) lands on the sentinel — the
-            # same per-element values the reference's ``np.where`` form
-            # produces, without materializing the mask.
-            offsets_l: list[int] = []
-            acc = 1
-            for size in sizes_l:
-                offsets_l.append(acc)
-                acc += size + 1
-            flat_cdf = np.zeros(acc - 1)
-            for i, cdf in enumerate(cdfs):
-                off = offsets_l[i]
-                flat_cdf[off : off + cdf.size] = cdf
-            np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
-            fr_all = np.take(flat_cdf, ks_all)
-            # One sum-of-products per node over its contiguous row
-            # block: einsum's u axis is an outer loop over independent
-            # (p, l) reductions, so each row is bitwise the per-slice
-            # two-operand reduction, and broadcasting the node's shared
-            # probability matrix avoids a gather copy.  Sliced to the
-            # node's native pad width: the reduction must run over
-            # exactly the reference's terms, because extra zero-probability
-            # columns — while value-neutral term by term — change the
-            # inner loop's accumulator blocking and therefore rounding.
-            rows = np.empty((u, self._num_pstates))
-            for node, row_lo, row_hi in node_blocks:
-                w = widths[node]
-                np.einsum(
-                    "pl,upl->up",
-                    probs_stack[node, :, :w],
-                    fr_all[row_lo:row_hi, :, :w],
-                    out=rows[row_lo:row_hi],
-                )
         return np.take(rows, ready.slots, axis=0).ravel()  # (C, P) scatter by slot
 
 

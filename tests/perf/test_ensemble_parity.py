@@ -1,37 +1,37 @@
 """Ensemble-level results-neutrality of the full optimization stack.
 
-With every ensemble optimization engaged at once — batched table
-construction, the warm cross-spec :class:`TrialCache`, the vectorized
-mapper, the kernel cache, chunked dispatch and the single-copy result
-frames — every ``TrialResult`` and the run's manifest digests are
-bitwise identical to running each spec of each trial as its own
-:class:`TrialPlan` with a private cache, at any ``n_jobs`` and chunk
-size.
+One contract, bitwise equality.  With every ensemble optimization
+engaged at once — batched table construction, the warm cross-spec
+:class:`TrialCache`, the vectorized mapper, the kernel cache, chunked
+dispatch and the single-copy result frames — every ``TrialResult`` and
+the run's manifest digests are bitwise identical to running each spec
+of each trial as its own :class:`TrialPlan` with a private cache, at
+any ``n_jobs`` and chunk size.  ``tests/perf/test_parity.py`` pins that
+single-trial run bitwise to the reference computations in
+``tests/perf/reference.py``; there is no tolerance tier.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import build_trial_system
+from repro import api, build_trial_system
 from repro import rng as rng_mod
-from repro.experiments.runner import EnsembleResult, TrialPlan, VariantSpec, run_ensemble
+from repro.experiments.runner import EnsembleResult, TrialPlan, VariantSpec
 from repro.obs.manifest import build_manifest
-from repro.perf.kernel_cache import PerfConfig
-from repro.perf.kernels import available_backends
 from tests.conftest import micro_config
 
 SPECS = (VariantSpec("LL", "en+rob"), VariantSpec("MECT", "none"), VariantSpec("SQ", "en+rob"))
 TRIALS = 4
 BASE_SEED = 17
-COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 
 def run(perf, *, n_jobs=1, chunk_size=None):
-    return run_ensemble(
-        SPECS,
-        micro_config(seed=31),
-        num_trials=TRIALS,
+    """The ensemble of ``SPECS`` through the public API."""
+    config = micro_config(seed=31)
+    return api.run_ensemble(
+        [api.Scenario(s.heuristic, s.variant, config=config) for s in SPECS],
+        TRIALS,
         base_seed=BASE_SEED,
         n_jobs=n_jobs,
         keep_outcomes=True,
@@ -74,19 +74,3 @@ def test_all_optimizations_bitwise_match_reference(reference, n_jobs, chunk_size
         build_manifest(optimized, config).to_dict()
         == build_manifest(reference, config).to_dict()
     )
-
-
-@pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-@pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "parallel"])
-def test_compiled_backend_ensemble_parity(reference, backend, n_jobs, assert_trial_close):
-    """Every trial of every spec stays within the kernel contract of the
-    numpy default, including across worker processes (each resolves its
-    own backend)."""
-    compiled = run(PerfConfig(backend=backend), n_jobs=n_jobs)
-    for spec in SPECS:
-        got_trials = compiled.results[spec]
-        ref_trials = reference.results[spec]
-        assert len(got_trials) == len(ref_trials)
-        for got, ref in zip(got_trials, ref_trials):
-            assert_trial_close(got, ref)

@@ -26,7 +26,6 @@ from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.base import Heuristic
 from repro.heuristics.registry import build_heuristic
-from repro.perf.kernels import available_backends, resolve_backend
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.metrics import TraceCollector
@@ -34,8 +33,6 @@ from repro.sim.state import CoreState, QueuedTask, RunningTask
 from repro.stoch.ops import set_op_observer
 from tests.conftest import micro_config, tiny_config
 from tests.perf.reference import build_candidate_set, reference_engine
-
-COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 #: One node down mid-burst: orphans running and queued work on the tiny
 #: 3-node system and re-maps it through ``Engine._remap_orphan``.
@@ -275,25 +272,3 @@ class TestReadOrder:
         cands = CandidateBuilder(cores, system.table).build(task, task.arrival)
         assert cands.ect is cands.ect
         assert cands.prob_on_time is cands.prob_on_time
-
-    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_compiled_backend_serves_rho_through_score_rows(self, system, backend):
-        be = resolve_backend(backend)
-        calls = []
-
-        class Spy:
-            def score_rows(self, *args):
-                calls.append(args)
-                return be.score_rows(*args)
-
-        cores = _busy_cores(system)
-        compiled = CandidateBuilder(cores, system.table, backend=Spy())
-        task = system.workload.tasks[1]
-        got = compiled.build(task, task.arrival)
-        assert not calls
-        got.ect
-        assert not calls
-        ref = build_candidate_set(task, cores, system.table, task.arrival)
-        np.testing.assert_allclose(got.prob_on_time, ref.prob_on_time, rtol=1e-12, atol=1e-15)
-        assert len(calls) == 1

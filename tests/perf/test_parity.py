@@ -1,16 +1,13 @@
 """Results-neutrality of the performance layer.
 
 The engine has one path — the vectorized candidate builder with a
-kernel cache.  Its acceptance contract: every trial is bitwise identical
-to one run on the reference computations kept in
-``tests/perf/reference.py`` — same scalar fields, same per-task
-outcomes, same manifest digests — across all four heuristics and with
-the filters on or off.  Speed is allowed to vary; results are not.
-
-The ``backend`` knob is the one deliberate exception: compiled backends
-are held to the kernel contract against the numpy default — discrete
-fields exact, floats within 1e-12.  Canonical digests are always defined
-by the numpy path.
+kernel cache, on numpy, the only kernel backend.  It has one acceptance
+contract, bitwise equality: every trial equals one run on the reference
+computations kept in ``tests/perf/reference.py`` — same scalar fields,
+same per-task outcomes, same manifest digests — across all four
+heuristics and with the filters on or off, and every candidate array
+equals the reference loop's.  Speed is allowed to vary; results are
+not.
 """
 
 from __future__ import annotations
@@ -21,8 +18,6 @@ import pytest
 from repro import build_trial_system
 from repro.experiments.runner import TrialPlan, VariantSpec
 from repro.obs.manifest import trial_digest
-from repro.perf.kernel_cache import PerfConfig
-from repro.perf.kernels import available_backends
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
 from tests.conftest import micro_config
@@ -30,7 +25,6 @@ from tests.perf.reference import build_candidate_set, reference_engine
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
 VARIANTS = ("none", "en+rob")
-COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +32,8 @@ def system():
     return build_trial_system(micro_config(seed=11))
 
 
-def _run(system, spec, perf=None):
-    return TrialPlan(system=system, spec=spec, keep_outcomes=True, perf=perf).run()
+def _run(system, spec):
+    return TrialPlan(system=system, spec=spec, keep_outcomes=True).run()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -54,18 +48,6 @@ def test_perf_knobs_are_results_neutral(system, heuristic, variant):
             reference = _run(system, spec)
         assert result == reference  # full dataclass equality incl. outcomes
         assert trial_digest(result) == trial_digest(reference)
-
-
-@pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_compiled_backend_parity(system, heuristic, variant, backend, assert_trial_close):
-    """Compiled backends reproduce every numpy trial within the kernel contract."""
-    spec = VariantSpec(heuristic, variant)
-    reference = _run(system, spec, PerfConfig(backend="numpy"))
-    compiled = _run(system, spec, PerfConfig(backend=backend))
-    assert_trial_close(compiled, reference)
 
 
 def _fresh_cores(system):
@@ -114,43 +96,3 @@ class TestBuilderMatchesReference:
             got = builder.build(task, task.arrival)
             ref = build_candidate_set(task, cores, system.table, task.arrival)
             self._assert_equal(got, ref)
-
-    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_compiled_score_rows_within_tolerance(self, system, backend):
-        """Decision inputs from the compiled batch kernel: discrete
-        arrays bitwise, probability rows within the ≤1e-12 contract.
-
-        This is the load-bearing half of backend parity — the candidate
-        arrays are what every heuristic argmin and filter threshold
-        reads, so pinning them here localizes any trial-level
-        trajectory divergence to exact-tie reordering.
-        """
-        from repro.perf.kernels import resolve_backend
-
-        cores = _fresh_cores(system)
-        probe = system.workload.tasks[0]
-        t0 = probe.arrival
-        pmf = system.table.pmf(probe.type_id, cores[0].node_index, 0)
-        cores[0].set_running(
-            RunningTask(probe, 0, pmf, start_time=t0, completion_time=t0 + 200.0)
-        )
-        cores[0].enqueue(QueuedTask(probe, 0, pmf))
-        compiled = CandidateBuilder(
-            cores, system.table, backend=resolve_backend(backend)
-        )
-        reference = CandidateBuilder(cores, system.table)
-        for task in system.workload.tasks[1:6]:
-            got = compiled.build(task, task.arrival)
-            ref = reference.build(task, task.arrival)
-            for name in ("core_ids", "pstates", "queue_len"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-            for name in ("eet", "eec", "ect", "prob_on_time"):
-                np.testing.assert_allclose(
-                    getattr(got, name),
-                    getattr(ref, name),
-                    rtol=1e-12,
-                    atol=1e-15,
-                    err_msg=name,
-                )
-            assert np.array_equal(got.mask, ref.mask)

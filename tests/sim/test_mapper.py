@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf.kernels import available_backends, resolve_backend
 from repro.robustness.completion import prob_on_time
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
@@ -116,7 +115,7 @@ class TestBuildCandidates:
 
 
 class TestOnDemandColumns:
-    """``ect`` / ``prob_on_time`` are computed when read, with every backend."""
+    """``ect`` / ``prob_on_time`` are computed when read."""
 
     @pytest.fixture()
     def busy(self, tiny_system, cores):
@@ -139,12 +138,10 @@ class TestOnDemandColumns:
         with pytest.raises(AssertionError, match="ready pmf"):
             cands.ect
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_each_backend_matches_scalar_reference(self, tiny_system, busy, backend):
+    def test_matches_scalar_reference(self, tiny_system, busy):
         task = tiny_system.workload.tasks[3]
         t = task.arrival
-        builder = CandidateBuilder(busy, tiny_system.table, backend=resolve_backend(backend))
-        cands = builder.build(task, t)
+        cands = _build(task, busy, tiny_system.table, t)
         P = tiny_system.cluster.num_pstates
         for cid in (0, len(busy) - 1):
             ready = busy[cid].ready_pmf(t)

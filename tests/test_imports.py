@@ -3,8 +3,9 @@
 ``scipy.stats`` imports most of scipy and dominates a cold start; only
 ``repro compare`` needs it (``compare_variants`` imports it on call).
 The guard below runs every other entry point in a fresh interpreter and
-checks it never loads.  The dependency test keeps ``pyproject.toml``
-honest about what ``src/repro`` imports.
+checks it never loads.  The dependency tests keep ``pyproject.toml``
+honest about what ``src/repro`` imports, including the stdlib
+``tomllib`` that sets the Python floor.
 """
 
 from __future__ import annotations
@@ -97,3 +98,11 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = _imported_top_levels() - set(sys.stdlib_module_names) - {"repro"}
     assert third_party, "the scan found no third-party imports at all"
     assert sorted(third_party - declared) == []
+
+
+def test_python_floor_has_tomllib():
+    """``tomllib`` (read by ``Scenario.from_file``) is stdlib from 3.11."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    floor = re.fullmatch(r">=\s*(\d+)\.(\d+)", project["project"]["requires-python"].strip())
+    assert floor is not None, project["project"]["requires-python"]
+    assert (int(floor[1]), int(floor[2])) >= (3, 11)
