@@ -10,7 +10,8 @@ keep under ``tests/perf``):
 * the **vectorized candidate builder**
   (:class:`~repro.sim.mapper.CandidateBuilder`), which assembles the
   whole per-arrival :class:`~repro.heuristics.base.CandidateSet` with
-  batched array ops and per-ready-pmf deduplication;
+  batched array ops over per-core ready-time CDF rows that it
+  refreshes only when stale;
 * a **trial-scoped warm cache** (:class:`TrialCache`) sharing the
   kernel cache and the builder's type tables across every spec of a
   trial (all specs run the same :class:`~repro.sim.system.TrialSystem`).

@@ -1,33 +1,36 @@
-"""Per-core runtime state with cached ready-time distributions.
+"""Per-core runtime state and the shared arrays a mapper reads it through.
 
-The dominant cost of a mapping event is computing, for every core, the
-*ready-time* pmf — the completion distribution of everything already on
-the core (Section IV-B).  :class:`CoreState` caches both pieces:
+The dominant cost of a mapping event is computing, for every busy core,
+the *ready-time* pmf — the completion distribution of everything already
+on the core (Section IV-B).  :meth:`CoreState.ready_pmf` computes it from
 
-* the convolution of queued tasks' execution pmfs, extended
+* the convolution of queued tasks' execution pmfs, cached and extended
   *incrementally* whenever that is exact (appending a pmf at least as
   long as every queued one convolves last in the sorted fold of
   :func:`~repro.stoch.ops.convolve_many`, so one incremental convolution
   reproduces the full recomputation bit for bit) and invalidated
   otherwise.  The extension is deferred to the next ready-pmf read, so a
   trial whose policy never reads a ready pmf convolves nothing, and
-* the running task's truncated completion pmf.  Truncation at a later
-  time ``t`` changes nothing as long as the cached distribution has no
-  impulse before ``t``, so the cache records its first-impulse time and
-  stays valid across most events — typically only cores whose predicted
-  completion is overdue recompute.
+* the running task's completion pmf truncated at ``t_now``.  Truncation
+  at a later time ``t`` changes nothing as long as the result has no
+  impulse before ``t``, so each call records that first-impulse time
+  (``_ready_trunc_start``) for the caller that keeps the result.
 
-Each core also writes its :attr:`CoreState.assigned_count` into a slot
-of an occupancy array on every mutation; :func:`shared_occupancy` binds
-a core list to one array, so a mapper reads every queue length at once
-without visiting the cores.
+The ready pmf itself is not cached here: the
+:class:`~repro.sim.mapper.CandidateBuilder` keeps one CDF row per core
+and refreshes only the stale ones.  To find them without visiting the
+cores, each core writes three entries into arrays shared with its
+siblings on every mutation — its :attr:`CoreState.assigned_count`
+(occupancy), its mutation counter (version) and whether it is running a
+task (busy).  :func:`shared_arrays` binds a core list to one set of
+these arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +42,9 @@ __all__ = [
     "RunningTask",
     "QueuedTask",
     "CoreState",
+    "CoreArrays",
     "RollingEnergyBudget",
-    "shared_occupancy",
+    "shared_arrays",
 ]
 
 
@@ -69,6 +73,23 @@ class QueuedTask:
     exec_pmf: PMF
 
 
+class CoreArrays(NamedTuple):
+    """Per-core arrays kept current by :class:`CoreState`'s mutators.
+
+    Entry ``i`` of each belongs to the core bound to slot ``i``.
+    """
+
+    occupancy: np.ndarray  # int64: assigned_count
+    version: np.ndarray  # int64: the core's mutation counter
+    busy: np.ndarray  # bool: running is not None
+
+
+def _zeroed_arrays(n: int) -> CoreArrays:
+    return CoreArrays(
+        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    )
+
+
 class CoreState:
     """Mutable state of one core during a trial."""
 
@@ -83,10 +104,8 @@ class CoreState:
         "_queue_conv",
         "_queue_tail",
         "_queue_maxlen",
-        "_occupancy",
-        "_occupancy_slot",
-        "_ready_version",
-        "_ready_pmf",
+        "_arrays",
+        "_slot",
         "_ready_trunc_start",
     )
 
@@ -104,11 +123,12 @@ class CoreState:
         # order is the incremental extension, just done later.
         self._queue_tail: list[PMF] = []
         self._queue_maxlen = 0
-        # Private one-slot array until shared_occupancy() rebinds it.
-        self._occupancy = np.zeros(1, dtype=np.int64)
-        self._occupancy_slot = 0
-        self._ready_version = -1
-        self._ready_pmf: PMF | None = None
+        # Private one-slot arrays until shared_arrays() rebinds them.
+        self._arrays = _zeroed_arrays(1)
+        self._slot = 0
+        # First impulse time of the running completion pmf behind the
+        # last ready_pmf result: that result stays exact for any later
+        # t_now up to this time (+1e-9) until the next mutation.
         self._ready_trunc_start = 0.0
 
     # ------------------------------------------------------------------
@@ -125,11 +145,14 @@ class CoreState:
         """Whether the core has no work at all."""
         return self.running is None and not self.queue
 
-    def _sync_occupancy(self) -> None:
-        self._occupancy[self._occupancy_slot] = len(self.queue) + (self.running is not None)
+    def _sync_arrays(self) -> None:
+        arrays, slot = self._arrays, self._slot
+        arrays.occupancy[slot] = len(self.queue) + (self.running is not None)
+        arrays.version[slot] = self._version
+        arrays.busy[slot] = self.running is not None
 
     # ------------------------------------------------------------------
-    # Mutations (each bumps the cache version and syncs the occupancy)
+    # Mutations (each bumps the version and syncs the shared arrays)
     # ------------------------------------------------------------------
 
     def enqueue(self, entry: QueuedTask) -> None:
@@ -158,7 +181,7 @@ class CoreState:
             self._invalidate_queue_conv()
         self.queue.append(entry)
         self._version += 1
-        self._sync_occupancy()
+        self._sync_arrays()
 
     def set_running(self, running: RunningTask) -> None:
         """Begin executing a task (the core must not be busy)."""
@@ -166,7 +189,7 @@ class CoreState:
             raise RuntimeError("core already running a task")
         self.running = running
         self._version += 1
-        self._sync_occupancy()
+        self._sync_arrays()
 
     def clear_running(self) -> None:
         """Mark the running task finished."""
@@ -174,7 +197,7 @@ class CoreState:
             raise RuntimeError("no running task to clear")
         self.running = None
         self._version += 1
-        self._sync_occupancy()
+        self._sync_arrays()
 
     def interrupt(self) -> RunningTask:
         """Forcibly remove the running task (fault injection only).
@@ -190,7 +213,7 @@ class CoreState:
         self.running = None
         self.epoch += 1
         self._version += 1
-        self._sync_occupancy()
+        self._sync_arrays()
         return running
 
     def drain_queue(self) -> list[QueuedTask]:
@@ -201,7 +224,7 @@ class CoreState:
         self.queue.clear()
         self._version += 1
         self._invalidate_queue_conv()
-        self._sync_occupancy()
+        self._sync_arrays()
         return entries
 
     def pop_next(self) -> QueuedTask | None:
@@ -211,7 +234,7 @@ class CoreState:
         entry = self.queue.popleft()
         self._version += 1
         self._invalidate_queue_conv()
-        self._sync_occupancy()
+        self._sync_arrays()
         return entry
 
     def remove_queued(self, task_id: int) -> QueuedTask | None:
@@ -221,7 +244,7 @@ class CoreState:
                 self.queue.remove(entry)
                 self._version += 1
                 self._invalidate_queue_conv()
-                self._sync_occupancy()
+                self._sync_arrays()
                 return entry
         return None
 
@@ -249,45 +272,40 @@ class CoreState:
         return self._queue_conv
 
     def ready_pmf(self, t_now: float) -> PMF:
-        """Distribution of when this core can start a newly-mapped task."""
+        """Distribution of when this core can start a newly-mapped task.
+
+        Computed afresh on every call (the queue convolution is the only
+        part cached here); records the truncated running pmf's start in
+        ``_ready_trunc_start``.
+        """
         if self.running is None:
             return PMF.delta(t_now, self.dt)
-        if (
-            self._ready_version == self._version
-            and self._ready_pmf is not None
-            and self._ready_trunc_start >= t_now - 1e-9
-        ):
-            return self._ready_pmf
         running_c = truncate_below(
             shift(self.running.exec_pmf, self.running.start_time), t_now
         )
         qconv = self._queue_convolution()
-        ready = running_c if qconv is None else convolve(running_c, qconv)
-        self._ready_version = self._version
-        self._ready_pmf = ready
         self._ready_trunc_start = running_c.start
-        return ready
+        return running_c if qconv is None else convolve(running_c, qconv)
 
 
-def shared_occupancy(cores: Sequence[CoreState]) -> np.ndarray:
-    """The array holding every core's :attr:`~CoreState.assigned_count`.
+def shared_arrays(cores: Sequence[CoreState]) -> CoreArrays:
+    """The arrays holding every core's occupancy, version and busy flag.
 
     Entry ``i`` belongs to ``cores[i]`` and follows its mutations.  Cores
-    already bound to one array in list order keep it (so several mappers
-    over one core list share it); otherwise they are rebound to a fresh
-    array seeded with their current counts.
+    already bound to one set of arrays in list order keep it (so several
+    mappers over one core list share it); otherwise they are rebound to
+    fresh arrays seeded with their current state.
     """
-    occupancy = cores[0]._occupancy if cores else np.zeros(0, dtype=np.int64)
-    if occupancy.size != len(cores) or any(
-        core._occupancy is not occupancy or core._occupancy_slot != slot
-        for slot, core in enumerate(cores)
+    arrays = cores[0]._arrays if cores else None
+    if arrays is None or arrays.occupancy.size != len(cores) or any(
+        core._arrays is not arrays or core._slot != slot for slot, core in enumerate(cores)
     ):
-        occupancy = np.zeros(len(cores), dtype=np.int64)
+        arrays = _zeroed_arrays(len(cores))
         for slot, core in enumerate(cores):
-            core._occupancy = occupancy
-            core._occupancy_slot = slot
-            occupancy[slot] = core.assigned_count
-    return occupancy
+            core._arrays = arrays
+            core._slot = slot
+            core._sync_arrays()
+    return arrays
 
 
 class RollingEnergyBudget:

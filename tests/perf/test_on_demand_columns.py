@@ -7,7 +7,8 @@ contract:
 
 * **decision time** — every ρ the engine records is the one the per-core
   oracle gives at the moment of the decision, also for orphans re-mapped
-  after an outage, and a column read after the commit raises;
+  after an outage and for an overloaded service run, and a column read
+  after the commit raises;
 * **work skipped** — SQ and Random do no pmf work at all, MECT without
   the robustness filter never enters the ρ stage;
 * **read order** — whichever column is read first, and however often,
@@ -21,11 +22,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import build_trial_system
+from repro import api, build_trial_system
+from repro import service as service_mod
 from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.base import Heuristic
 from repro.heuristics.registry import build_heuristic
+from repro.service import ServiceConfig
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.metrics import TraceCollector
@@ -78,6 +81,21 @@ class _Witness(Heuristic):
         return index
 
 
+class _ServiceWitness(_Witness):
+    """Also records the builder's ρ: a service engine keeps no collector."""
+
+    def __init__(self, inner: Heuristic) -> None:
+        super().__init__(inner)
+        self.recorded: list[float] = []
+        self.deepest = 0
+
+    def select(self, cands, ctx):
+        index = super().select(cands, ctx)
+        self.recorded.append(0.0 if index is None else float(cands.prob_on_time[index]))
+        self.deepest = max(self.deepest, int(cands.queue_len.max()))
+        return index
+
+
 def _witnessed_run(system, heuristic, variant, **engine_kwargs):
     witness = _Witness(build_heuristic(heuristic, np.random.default_rng(7)))
     collector = TraceCollector()
@@ -109,6 +127,39 @@ class TestDecisionTimeRho:
         assert engine.fault_stats.remapped > 0
         assert len(witness.expected) == fault_system.num_tasks + engine.fault_stats.orphaned
         assert collector.chosen_probs == witness.expected
+
+    @pytest.mark.parametrize("heuristic", ("MECT", "LL"))
+    def test_service_overload_records_decision_time_rho(self, queued_system, heuristic):
+        # Poisson traffic at three times the equilibrium rate on one
+        # node, drawing on a rolling budget: queues run deep, and the
+        # ready CDFs outgrow the rows' first width.
+        witnesses: list[_ServiceWitness] = []
+        grown: list[int] = []
+        reserve = CandidateBuilder._reserve
+
+        def make(system, heuristic, *args, **kwargs):
+            witness = _ServiceWitness(heuristic)
+            witness.engine = Engine(system, witness, *args, **kwargs)
+            witnesses.append(witness)
+            return witness.engine
+
+        def counted_reserve(builder, pad, size):
+            if size and builder._pad:
+                grown.append(size)
+            reserve(builder, pad, size)
+
+        service = ServiceConfig(traffic="poisson", rate_mult=3.0, task_limit=120)
+        scenario = api.Scenario(heuristic, "en+rob", mode="service", service=service)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(service_mod, "Engine", make)
+            mp.setattr(CandidateBuilder, "_reserve", counted_reserve)
+            result = api.run_service(scenario, service, system=queued_system)
+        (witness,) = witnesses
+        assert len(witness.expected) == result.totals.mapped + result.totals.discarded
+        assert witness.recorded == witness.expected
+        assert witness.engine.rolling_budget is not None
+        assert witness.deepest >= 3  # a running task and two queued behind it
+        assert grown
 
     def test_columns_raise_after_commit(self, system):
         _, witness, _ = _witnessed_run(system, "SQ", "none")

@@ -153,6 +153,81 @@ class TestOnDemandColumns:
                 assert cands.ect[cid * P + pi] == pytest.approx(ready.mean() + cands.eet[cid * P + pi])
 
 
+class TestReadyRows:
+    """The builder refreshes a core's CDF row only when it is stale."""
+
+    @pytest.fixture()
+    def running(self, tiny_system, cores):
+        """Core 0 runs a task; returns (cores, first impulse time)."""
+        task = tiny_system.workload.tasks[0]
+        t = task.arrival
+        pmf = tiny_system.table.pmf(task.type_id, cores[0].node_index, 0)
+        cores[0].set_running(RunningTask(task, 0, pmf, start_time=t, completion_time=t + 1))
+        return cores, t + pmf.start
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made: list[float] = []
+        ready_pmf = CoreState.ready_pmf
+
+        def counted(core, t_now):
+            made.append(t_now)
+            return ready_pmf(core, t_now)
+
+        monkeypatch.setattr(CoreState, "ready_pmf", counted)
+        return made
+
+    def _ect(self, builder, tiny_system, t):
+        return builder.build(tiny_system.workload.tasks[1], t).ect
+
+    def test_valid_row_is_reused(self, tiny_system, running, calls):
+        cores, first_impulse = running
+        builder = CandidateBuilder(cores, tiny_system.table)
+        t = tiny_system.workload.tasks[0].arrival
+        self._ect(builder, tiny_system, t)
+        self._ect(builder, tiny_system, (t + first_impulse) / 2)
+        self._ect(builder, tiny_system, first_impulse)
+        assert calls == [t]
+
+    def test_row_refreshed_once_truncation_removes_mass(self, tiny_system, running, calls):
+        cores, first_impulse = running
+        builder = CandidateBuilder(cores, tiny_system.table)
+        t = tiny_system.workload.tasks[0].arrival
+        self._ect(builder, tiny_system, t)
+        later = first_impulse + tiny_system.config.grid.dt
+        got = self._ect(builder, tiny_system, later)
+        assert calls == [t, later]
+        assert got[0] == cores[0].ready_pmf(later).mean() + tiny_system.table.eet[
+            tiny_system.workload.tasks[1].type_id, cores[0].node_index, 0
+        ]
+
+    def test_mutation_refreshes_the_row(self, tiny_system, running, calls):
+        cores, _ = running
+        builder = CandidateBuilder(cores, tiny_system.table)
+        task = tiny_system.workload.tasks[0]
+        t = task.arrival
+        self._ect(builder, tiny_system, t)
+        pmf = tiny_system.table.pmf(task.type_id, cores[0].node_index, 0)
+        cores[0].enqueue(QueuedTask(task, 0, pmf))
+        self._ect(builder, tiny_system, t)
+        assert calls == [t, t]
+
+    def test_idle_cores_compute_no_ready_pmf(self, tiny_system, cores, calls):
+        builder = CandidateBuilder(cores, tiny_system.table)
+        task = tiny_system.workload.tasks[0]
+        builder.build(task, task.arrival).prob_on_time
+        assert calls == []
+
+    def test_columns_of_an_older_set_raise(self, tiny_system, running):
+        cores, _ = running
+        builder = CandidateBuilder(cores, tiny_system.table)
+        tasks = tiny_system.workload.tasks
+        older = builder.build(tasks[1], tasks[1].arrival)
+        builder.build(tasks[2], tasks[2].arrival).prob_on_time
+        with pytest.raises(RuntimeError, match="later set"):
+            older.prob_on_time
+
+
 class TestBuilderInputs:
     def test_rejects_core_count_mismatch(self, tiny_system, cores):
         with pytest.raises(ValueError, match="cluster"):

@@ -1,11 +1,14 @@
-"""Property test: the occupancy array and task conservation, after every event.
+"""Property test: the shared core arrays and task conservation, after every event.
 
 ``CandidateBuilder`` reads every core's queue length from one occupancy
 array that ``CoreState``'s mutators keep current, instead of visiting
-the cores.  The property pinned here, for batch, service and fault runs
-under random configurations and policies: after every event the array
-equals ``CoreState.assigned_count`` core by core, the engine's in-system
-count equals their sum, and every task that has arrived is accounted
+the cores, and finds the ready rows it must refresh from the version and
+busy arrays kept beside it.  The property pinned here, for batch,
+service and fault runs under random configurations and policies: after
+every event the occupancy array equals ``CoreState.assigned_count``, the
+busy array equals ``running is not None`` and the version array equals
+the core's ``_version``, core by core; the engine's in-system count
+equals the occupancy sum, and every task that has arrived is accounted
 for exactly once — arrivals = mapped + discarded + shed (plus those
 waiting out a deferral, zero once the run ends).
 """
@@ -57,11 +60,15 @@ class CheckedEngine(Engine):
         self.events = 0
         super().__init__(*args, hooks=_Chain(self.ledger_hooks, hooks), **kwargs)
         self.occupancy = self._builder._occupancy
+        self.versions = self._builder._version
+        self.busy = self._builder._busy
 
     def _check(self) -> None:
         self.events += 1
         counts = [core.assigned_count for core in self.cores]
         assert self.occupancy.tolist() == counts
+        assert self.busy.tolist() == [core.running is not None for core in self.cores]
+        assert self.versions.tolist() == [core._version for core in self.cores]
         assert self.in_system == sum(counts)
         hooks = self.ledger_hooks
         waiting = len(hooks.deferred)
