@@ -40,7 +40,7 @@ The facade groups five things:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, cast
 
 from repro.config import SimulationConfig
 from repro.experiments.runner import (
@@ -252,6 +252,7 @@ def run_service(
     timeline: TimelineRecorder | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
     perf: PerfConfig | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> ServiceResult:
     """Run one scenario in continuous-service mode.
 
@@ -271,7 +272,9 @@ def run_service(
     quantiles, SLO rules, online steady-state detection); the inert
     default keeps the run bitwise identical to an untelemetered one.
     ``perf`` must be a :class:`PerfConfig` or ``None`` and selects
-    nothing (numpy is the only kernel backend).
+    nothing (numpy is the only kernel backend).  ``stop`` is polled
+    between arrivals; once it returns true the stream is cut and
+    committed work drains (graceful shutdown).
     """
     _check_perf(perf)
     if service is None:
@@ -283,6 +286,7 @@ def run_service(
         scenario.spec,
         service,
         timeline=timeline,
+        stop=stop,
         telemetry=telemetry,
     )
 
@@ -307,19 +311,12 @@ def run_scenario(
 
     Extra keyword ``options`` forward to the mode's runner (collectors,
     ``n_jobs``, ...), so a scenario file pins the experiment
-    while the call site adds observability.
+    while the call site adds observability.  Trial and service runs
+    resolve the fault layer against the built system (a prebuilt one
+    may be passed as ``system``).
     """
     if isinstance(scenario, (str, Path)):
         scenario = Scenario.from_file(scenario)
-    if scenario.mode == "trial":
-        faults, fault_policy = scenario.resolved_faults()
-        return run_trial(
-            scenario,
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=scenario.shedding,
-            **options,  # type: ignore[arg-type]
-        )
     if scenario.mode == "ensemble":
         settings = scenario.resolved_ensemble()
         options.setdefault("n_jobs", settings.n_jobs)
@@ -329,7 +326,19 @@ def run_scenario(
             base_seed=settings.base_seed,
             **options,  # type: ignore[arg-type]
         )
-    return run_service(scenario, scenario.resolved_service(), **options)  # type: ignore[arg-type]
+    system = cast(TrialSystem, options.pop("system", None) or scenario.build_system())
+    if scenario.mode == "trial":
+        faults, fault_policy = scenario.resolved_faults(system)
+        return run_trial(
+            scenario,
+            system=system,
+            faults=faults,
+            fault_policy=fault_policy,
+            shedding=scenario.shedding,
+            **options,  # type: ignore[arg-type]
+        )
+    service = scenario.resolved_service(system)
+    return run_service(scenario, service, system=system, **options)  # type: ignore[arg-type]
 
 
 def _check_perf(perf: PerfConfig | None) -> None:

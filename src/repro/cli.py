@@ -26,18 +26,32 @@ All simulation subcommands accept ``--tasks`` and ``--seed``; results
 are deterministic for a given seed, with tracing and profiling on or
 off.  ``--profile-out`` files are Chrome trace-event JSON — drag one
 into https://ui.perfetto.dev to browse the spans interactively.
+
+``trial`` and ``serve`` are scenario front ends: their service, fault
+and shedding flags are generated from the fields of
+:class:`~repro.service.ServiceConfig` (no prefix),
+:class:`~repro.scenario.FaultSettings` (``--fault-``) and
+:class:`~repro.faults.SheddingConfig` (``--shed-``), with each field's
+type, default and docstring help.  The parsed flags build a
+:class:`~repro.scenario.Scenario` that runs through the same path as
+``repro run --scenario``, so a flag means exactly what the file key
+means and all three print the same ``scenario …, mode …, digest …``
+header.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import pathlib
+import re
 import signal
 import sys
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Sequence, get_args, get_type_hints
 
-from repro import SimulationConfig, build_trial_system
+from repro import SimulationConfig
 from repro.analysis.boxplot import ascii_boxplot_group
 from repro.analysis.profile_report import metrics_tables, profile_table, timeline_table
 from repro.analysis.svg import save_boxplot_svg, save_timeline_svg
@@ -49,11 +63,10 @@ from repro.experiments.report import best_variant_table, figure_table, summary_t
 from repro.experiments.runner import (
     EnsembleResult,
     PartialEnsembleResult,
-    TrialPlan,
     VariantSpec,
     run_ensemble,
 )
-from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
+from repro.faults import SheddingConfig
 from repro.filters.chain import VARIANTS, canonical_variant
 from repro.heuristics.registry import HEURISTICS
 from repro.registry import (
@@ -63,7 +76,7 @@ from repro.registry import (
     describe_plugins,
     plugin_table,
 )
-from repro.scenario import Scenario, ScenarioError
+from repro.scenario import FaultSettings, Scenario, ScenarioError
 from repro.io.faults_io import load_faults, save_faults
 from repro.io.profile_io import (
     load_profile_events,
@@ -80,8 +93,7 @@ from repro.obs.sinks import JsonlSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, parse_rule
 from repro.obs.timeline import TIMELINE_FORMAT, TimelineRecorder, TimelineSet
-from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, serve_system
-from repro.service import write_windows_jsonl
+from repro.service import ServiceConfig, ServiceResult, write_windows_jsonl
 
 __all__ = ["main", "build_parser"]
 
@@ -143,153 +155,110 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_faults(parser: argparse.ArgumentParser) -> None:
-    """In-simulation fault and shedding flags shared by trial and serve."""
-    group = parser.add_argument_group("faults / shedding")
+#: The scenario sections behind the trial/serve flags, with their flag prefix.
+_PREFIXES: dict[type, str] = {
+    ServiceConfig: "",
+    FaultSettings: "fault-",
+    SheddingConfig: "shed-",
+}
+
+
+def _scalar_fields(cls: type) -> list[tuple[dataclasses.Field, type]]:
+    """The fields of ``cls`` typed bool/int/float/str, optionally ``| None``."""
+    hints = get_type_hints(cls)
+    out = []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        kinds = [k for k in get_args(hint) or (hint,) if k is not type(None)]
+        if len(kinds) == 1 and kinds[0] in (bool, int, float, str):
+            out.append((field, kinds[0]))
+    return out
+
+
+def _attribute_help(cls: type) -> dict[str, str]:
+    """The ``Attributes`` entries of ``cls``'s docstring as one-line help."""
+    section = inspect.cleandoc(cls.__doc__ or "").partition("Attributes\n----------\n")[2]
+    entries: dict[str, list[str]] = {}
+    body: list[str] = []
+    for line in section.splitlines():
+        if line and not line[0].isspace():
+            body = entries.setdefault(line.rstrip(":"), [])
+        else:
+            body.append(line)
+    helps = {}
+    for name, body in entries.items():
+        text = " ".join(" ".join(body).split())
+        # ":class:`~repro.x.Name`" -> "Name", "``x``" -> "x"; argparse %-formats help.
+        text = re.sub(r":\w+:`~?(?:[\w.]*\.)?([^`]+)`", r"\1", text)
+        helps[name] = text.replace("``", "").replace("%", "%%")
+    return helps
+
+
+def _add_section(parser: argparse.ArgumentParser, cls: type) -> None:
+    """One flag per scalar field of ``cls``: ``--<prefix><field-name>``."""
+    helps = _attribute_help(cls)
+    group = parser.add_argument_group(f"{cls.__name__} fields")
+    for field, kind in _scalar_fields(cls):
+        flag = f"--{_PREFIXES[cls]}{field.name}".replace("_", "-")
+        options: dict[str, Any] = (
+            {"action": argparse.BooleanOptionalAction}
+            if kind is bool
+            # Traffic names canonicalize (and fail) at parse time.
+            else {"type": _traffic_name if field.name == "traffic" else kind}
+        )
+        group.add_argument(
+            flag,
+            dest=flag[2:].replace("-", "_"),
+            default=field.default,
+            help=helps.get(field.name),
+            **options,
+        )
+
+
+def _add_fault_layer(parser: argparse.ArgumentParser) -> None:
+    """The fault and shedding flags shared by trial and serve."""
+    group = parser.add_argument_group("fault schedule files")
     group.add_argument(
         "--faults", help="load a repro.faults/1 schedule JSON (vs. generating one)"
     )
     group.add_argument(
         "--faults-out", help="save the (loaded or generated) fault schedule here"
     )
-    group.add_argument(
-        "--fault-mtbf",
-        type=float,
-        default=None,
-        help="generate a schedule: mean up-time per target (simulated seconds)",
-    )
-    group.add_argument(
-        "--fault-mttr",
-        type=float,
-        default=None,
-        help="mean outage duration per target (simulated seconds)",
-    )
-    group.add_argument(
-        "--fault-horizon",
-        type=float,
-        default=None,
-        help="generate faults up to this time (serve defaults to --horizon)",
-    )
-    group.add_argument(
-        "--fault-scope",
-        default="node",
-        choices=("node", "core", "slowdown"),
-        help="what a generated fault takes down (slowdown caps P-states instead)",
-    )
-    group.add_argument(
-        "--fault-targets",
-        type=int,
-        default=None,
-        help="targets subject to faults (default: every node, or core)",
-    )
-    group.add_argument(
-        "--fault-pstate-floor",
-        type=int,
-        default=1,
-        help="forbid P-state indices below this during a slowdown (scope=slowdown)",
-    )
-    group.add_argument(
-        "--fault-running",
-        default="lost",
-        choices=("lost", "resume"),
-        help="running tasks caught by an outage are lost or resume-orphaned",
-    )
-    group.add_argument(
-        "--no-remap",
-        action="store_true",
-        help="disable orphan re-mapping (the no-recovery ablation)",
-    )
-    group.add_argument(
-        "--shed-queue-depth",
-        type=float,
-        default=None,
-        help="shed arrivals when avg queue depth exceeds this (tasks/core)",
-    )
-    group.add_argument(
-        "--shed-budget-frac",
-        type=float,
-        default=None,
-        help="shed arrivals when the energy allowance falls below this fraction",
-    )
-    group.add_argument(
-        "--shed-min-prob",
-        type=float,
-        default=None,
-        help="shed tasks whose chosen assignment's on-time probability is below this",
-    )
-    group.add_argument(
-        "--shed-defer",
-        type=float,
-        default=None,
-        help="retry tripped arrivals after this many simulated seconds (default: drop)",
-    )
-    group.add_argument(
-        "--shed-max-defers",
-        type=int,
-        default=3,
-        help="deferrals per task before it is shed for good",
-    )
+    _add_section(parser, FaultSettings)
+    _add_section(parser, SheddingConfig)
 
 
-def _resolve_faults(
-    args: argparse.Namespace,
-    cluster_nodes: int,
-    cluster_cores: int,
-    *,
-    default_horizon: float | None = None,
-) -> tuple[FaultSchedule | None, FaultPolicy | None, SheddingConfig | None]:
-    """Turn the fault/shedding flags into engine inputs (or Nones)."""
-    if args.faults and args.fault_mtbf is not None:
-        raise SystemExit("pass either --faults FILE or --fault-mtbf, not both")
-    schedule: FaultSchedule | None = None
-    if args.faults:
-        schedule = load_faults(args.faults)
-    elif args.fault_mtbf is not None:
-        if args.fault_mttr is None:
-            raise SystemExit("generating a schedule needs --fault-mttr too")
-        horizon = args.fault_horizon if args.fault_horizon is not None else default_horizon
-        if horizon is None:
-            raise SystemExit("generating a schedule needs --fault-horizon (or --horizon)")
-        targets = args.fault_targets
-        if targets is None:
-            targets = cluster_cores if args.fault_scope == "core" else cluster_nodes
-        try:
-            schedule = FaultSchedule.generate(
-                num_targets=targets,
-                horizon=horizon,
-                mtbf=args.fault_mtbf,
-                mttr=args.fault_mttr,
-                seed=args.seed,
-                scope=args.fault_scope,
-                pstate_floor=args.fault_pstate_floor,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"fault schedule: {exc}")
-    if args.faults_out:
-        if schedule is None:
-            raise SystemExit("--faults-out needs a schedule (--faults or --fault-mtbf)")
-        save_faults(schedule, args.faults_out)
-        print(f"wrote {args.faults_out} ({len(schedule.events)} fault events)")
-    policy = None
-    if schedule is not None:
-        policy = FaultPolicy(running=args.fault_running, remap=not args.no_remap)
-    shedding = None
-    if (
-        args.shed_queue_depth is not None
-        or args.shed_budget_frac is not None
-        or args.shed_min_prob is not None
-    ):
-        try:
-            shedding = SheddingConfig(
-                queue_depth=args.shed_queue_depth,
-                budget_frac=args.shed_budget_frac,
-                min_prob=args.shed_min_prob,
-                defer=args.shed_defer,
-                max_defers=args.shed_max_defers,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"shedding: {exc}")
-    return schedule, policy, shedding
+def _section(args: argparse.Namespace, cls: type, **extra: Any) -> Any:
+    """Build ``cls`` from the flags :func:`_add_section` generated for it."""
+    prefix = _PREFIXES[cls].replace("-", "_")
+    values = {field.name: getattr(args, prefix + field.name) for field, _ in _scalar_fields(cls)}
+    return cls(**values, **extra)
+
+
+def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The scenario a ``trial`` or ``serve`` command line describes.
+
+    A fault or shedding section left at its defaults becomes ``None``;
+    service mode always carries its :class:`ServiceConfig` (``None``
+    there would mean replay).
+    """
+    mode = "service" if args.command == "serve" else "trial"
+    try:
+        events = load_faults(args.faults).events if args.faults else ()
+        faults = _section(args, FaultSettings, events=events)
+        shedding = _section(args, SheddingConfig)
+        return Scenario(
+            args.heuristic,
+            args.filters,
+            seed=args.seed,
+            num_tasks=args.tasks,
+            mode=mode,
+            service=_section(args, ServiceConfig) if mode == "service" else None,
+            faults=None if faults == FaultSettings() else faults,
+            shedding=None if shedding == SheddingConfig() else shedding,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
 
 
 def _print_fault_totals(totals: dict[str, int]) -> None:
@@ -402,47 +371,33 @@ def _print_trial_result(result: Any) -> None:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     """Run a single trial of one (heuristic, filters) policy."""
-    system = build_trial_system(_config(args))
-    spec = VariantSpec(args.heuristic, args.filters)
-    faults, fault_policy, shedding = _resolve_faults(
-        args, system.cluster.num_nodes, system.cluster.num_cores
-    )
+    scenario = _scenario_from_args(args)
     metrics = MetricsRegistry() if args.metrics_out else None
     trace_sink = JsonlSink(args.trace_out) if args.trace_out else None
     sinks = (trace_sink,) if trace_sink is not None else ()
     recorder = (
-        SpanRecorder(stream=0, label=f"trial:{spec.label}")
+        SpanRecorder(stream=0, label=f"trial:{scenario.label}")
         if args.profile_out
         else None
     )
     timeline = (
-        TimelineRecorder(args.timeline_dt, stream=0, label=spec.label)
+        TimelineRecorder(args.timeline_dt, stream=0, label=scenario.label)
         if args.timeline_out
         else None
     )
     try:
-        result = TrialPlan(
-            system=system,
-            spec=spec,
-            keep_outcomes=False,
+        _run_scenario(
+            scenario,
+            "trial",
+            faults_out=args.faults_out,
             metrics=metrics,
             sinks=sinks,
             profile=recorder,
             timeline=timeline,
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=shedding,
-        ).run()
+        )
     finally:
         if trace_sink is not None:
             trace_sink.close()
-    if faults is not None:
-        print(
-            f"fault schedule: {len(faults.events)} events "
-            f"(policy: running {fault_policy.running}, "
-            f"remap {'on' if fault_policy.remap else 'off'})"
-        )
-    _print_trial_result(result)
     if trace_sink is not None:
         print(f"wrote {args.trace_out} ({trace_sink.count} events)")
     if metrics is not None:
@@ -573,68 +528,27 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (``--windows-out`` then ends with a truncation trailer) and the
     process exits 0.
     """
-    system = build_trial_system(_config(args))
-    spec = VariantSpec(args.heuristic, args.filters)
-    faults, fault_policy, shedding = _resolve_faults(
-        args,
-        system.cluster.num_nodes,
-        system.cluster.num_cores,
-        default_horizon=args.horizon,
-    )
-    try:
-        service = ServiceConfig(
-            traffic=args.traffic,
-            rate_mult=args.rate_mult,
-            swing=args.swing,
-            phase_length=args.phase_length,
-            window=args.window,
-            horizon=args.horizon,
-            task_limit=args.task_limit,
-            budget_rate_mult=args.budget_rate_mult,
-            budget_cap_windows=args.budget_cap_windows,
-            budget_cap=args.budget_cap,
-            planning_tasks=args.planning_tasks,
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=shedding,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}")
+    scenario = _scenario_from_args(args)
     timeline = (
         TimelineRecorder(
-            args.timeline_dt, stream=0, label=spec.label, capacity=args.timeline_cap
+            args.timeline_dt, stream=0, label=scenario.label, capacity=args.timeline_cap
         )
         if args.timeline_out
         else None
     )
     telemetry, server = _resolve_telemetry(args)
-    stop_requested = False
-
-    def _request_stop(signum: int, frame: Any) -> None:
-        nonlocal stop_requested
-        stop_requested = True
-
-    previous = {
-        sig: signal.signal(sig, _request_stop)
-        for sig in (signal.SIGINT, signal.SIGTERM)
-    }
     try:
-        result = serve_system(
-            system,
-            spec,
-            service,
+        result = _run_scenario(
+            scenario,
+            "serve",
+            faults_out=args.faults_out,
             timeline=timeline,
-            stop=lambda: stop_requested,
             telemetry=telemetry,
         )
     except BaseException:
         if server is not None:
             server.stop()
         raise
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    _print_service_summary(result)
     if telemetry.enabled:
         _print_telemetry_summary(telemetry)
     if args.windows_out:
@@ -943,29 +857,69 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    """Run a scenario file end to end, printing the mode's summary."""
+def _run_scenario(
+    scenario: Scenario, shown: str, *, faults_out: str | None = None, **options: Any
+) -> Any:
+    """The run/trial/serve body: header, fault schedule, run, mode summary.
+
+    ``options`` forward to :func:`repro.api.run_scenario` (collectors,
+    telemetry).  A service run stops gracefully on SIGINT/SIGTERM.
+    """
     from repro.api import run_scenario
 
-    try:
-        scenario = Scenario.from_file(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        raise SystemExit(f"repro run: {exc}")
-    shown = scenario.name or pathlib.Path(args.scenario).stem
     print(f"scenario {shown}: {scenario.label}, mode {scenario.mode} "
           f"(digest {scenario.digest()[:12]})")
+    stop_requested = False
+
+    def _request_stop(signum: int, frame: Any) -> None:
+        nonlocal stop_requested
+        stop_requested = True
+
+    previous: dict[int, Any] = {}
     try:
-        result = run_scenario(scenario)
+        if scenario.mode != "ensemble":
+            options["system"] = scenario.build_system()
+            schedule, policy = scenario.resolved_faults(options["system"])
+            if faults_out:
+                if schedule is None:
+                    raise SystemExit("--faults-out needs a schedule (--faults or --fault-mtbf)")
+                save_faults(schedule, faults_out)
+                print(f"wrote {faults_out} ({len(schedule.events)} fault events)")
+            if scenario.mode == "trial" and schedule is not None and policy is not None:
+                print(
+                    f"fault schedule: {len(schedule.events)} events "
+                    f"(policy: running {policy.running}, "
+                    f"remap {'on' if policy.remap else 'off'})"
+                )
+        if scenario.mode == "service":
+            options["stop"] = lambda: stop_requested
+            previous = {
+                sig: signal.signal(sig, _request_stop)
+                for sig in (signal.SIGINT, signal.SIGTERM)
+            }
+        result = run_scenario(scenario, **options)
     except ValueError as exc:
-        raise SystemExit(f"repro run: {exc}")
+        raise SystemExit(f"scenario {shown}: {exc}")
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     if scenario.mode == "trial":
         _print_trial_result(result)
     elif scenario.mode == "ensemble":
         _report_partial(result)
-        tasks = scenario.resolved_config().workload.num_tasks
-        _print_ensemble(result, tasks, None)
+        _print_ensemble(result, scenario.resolved_config().workload.num_tasks, None)
     else:
         _print_service_summary(result)
+    return result
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run a scenario file end to end, printing the mode's summary."""
+    try:
+        scenario = Scenario.from_file(args.scenario)
+    except (OSError, ScenarioError) as exc:
+        raise SystemExit(f"repro run: {exc}")
+    _run_scenario(scenario, scenario.name or pathlib.Path(args.scenario).stem)
     return 0
 
 
@@ -1063,80 +1017,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trial", help="run a single trial of one policy", parents=[obs])
     _add_common(p)
     _add_policy(p)
-    _add_faults(p)
+    _add_fault_layer(p)
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("serve", help="run the engine as a continuous service")
     _add_common(p)
     _add_policy(p)
-    p.add_argument(
-        "--traffic",
-        default="poisson",
-        type=_traffic_name,
-        help="arrival model, any registered traffic plugin "
-        f"(builtin: {', '.join(TRAFFIC_MODELS)}; 'replay' streams the "
-        "batch workload's own tasks)",
-    )
-    p.add_argument(
-        "--rate-mult",
-        type=float,
-        default=1.0,
-        help="mean arrival rate as a multiple of the equilibrium rate",
-    )
-    p.add_argument(
-        "--swing",
-        type=float,
-        default=0.75,
-        help="peak-to-mean swing of diurnal/mmpp traffic, in [0, 1)",
-    )
-    p.add_argument(
-        "--phase-length",
-        type=float,
-        default=None,
-        help="mean traffic-phase length in simulated seconds (default: 5 windows)",
-    )
-    p.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        help="metric window in simulated seconds (default: 50 equilibrium arrivals)",
-    )
-    p.add_argument(
-        "--horizon",
-        type=float,
-        default=None,
-        help="stop admitting arrivals after this simulated time",
-    )
-    p.add_argument(
-        "--task-limit",
-        type=int,
-        default=None,
-        help="stop admitting arrivals after this many tasks",
-    )
-    p.add_argument(
-        "--budget-rate-mult",
-        type=float,
-        default=1.0,
-        help="allowance accrual as a multiple of the offered load's average cost",
-    )
-    p.add_argument(
-        "--budget-cap-windows",
-        type=float,
-        default=4.0,
-        help="allowance pool cap, in windows' worth of accrual",
-    )
-    p.add_argument(
-        "--budget-cap",
-        type=float,
-        default=None,
-        help="absolute allowance pool cap in joules (overrides --budget-cap-windows)",
-    )
-    p.add_argument(
-        "--planning-tasks",
-        type=int,
-        default=None,
-        help="energy filter fair-share divisor (default: one window of arrivals)",
-    )
+    _add_section(p, ServiceConfig)
     p.add_argument("--windows-out", help="write one JSON line per window here")
     p.add_argument(
         "--timeline-out",
@@ -1179,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="keep the scrape endpoint up this many wall seconds after the run",
     )
-    _add_faults(p)
+    _add_fault_layer(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -327,6 +327,9 @@ class SheddingConfig:
         drops at once).
     max_defers:
         Deferrals per task before it is shed for good.
+    policy:
+        The registered admission plugin that applies these thresholds
+        (builtin: ``threshold``).
     """
 
     queue_depth: float | None = None

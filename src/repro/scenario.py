@@ -49,6 +49,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.cluster.cluster import ClusterSpec
 from repro.config import (
     ClusterConfig,
     EnergyConfig,
@@ -218,9 +219,38 @@ class FaultSettings:
     Either list episodes as ``[[faults.events]]`` tables (kind, target,
     start, duration) or set the renewal-process trio ``mtbf`` / ``mttr``
     / ``horizon`` and a schedule is drawn per run via
-    :meth:`repro.faults.FaultSchedule.generate` — deterministic given
-    ``seed`` (default: the scenario's resolved master seed).
-    ``running`` / ``remap`` become the :class:`~repro.faults.FaultPolicy`.
+    :meth:`repro.faults.FaultSchedule.generate`.  A service-mode
+    scenario may leave ``horizon`` unset; the generator then runs to the
+    service horizon.
+
+    Attributes
+    ----------
+    mtbf:
+        Generate a schedule: mean up-time per target (simulated seconds).
+    mttr:
+        Mean outage duration per target (simulated seconds).
+    horizon:
+        Generate faults up to this simulated time (service mode: the
+        service horizon when unset).
+    num_targets:
+        Targets subject to faults (default: every core for scope core,
+        every node otherwise).
+    scope:
+        What a generated fault takes down: node, core, or slowdown (caps
+        the P-states of a node instead).
+    pstate_floor:
+        P-state indices below this are forbidden during a generated
+        slowdown.
+    seed:
+        Seed of the generated schedule (default: the master seed).
+    running:
+        Running tasks caught by an outage are lost or resume (orphaned
+        and re-mapped).
+    remap:
+        Re-map orphaned work through the policy (off: the no-recovery
+        ablation).
+    events:
+        Explicit fault episodes, instead of the generator.
     """
 
     mtbf: float | None = None
@@ -228,7 +258,7 @@ class FaultSettings:
     horizon: float | None = None
     num_targets: int | None = None
     scope: str = "node"
-    pstate_floor: int = 0
+    pstate_floor: int = 1
     seed: int | None = None
     running: str = "lost"
     remap: bool = True
@@ -247,9 +277,13 @@ class FaultSettings:
             raise ValueError(
                 f"running policy must be 'lost' or 'resume', got {self.running!r}"
             )
-        trio = (self.mtbf, self.mttr, self.horizon)
-        if any(v is not None for v in trio) and not all(v is not None for v in trio):
-            raise ValueError("fault generation needs all of mtbf, mttr and horizon")
+        if (self.mtbf is None) != (self.mttr is None) or (
+            self.horizon is not None and self.mtbf is None
+        ):
+            raise ValueError(
+                "fault generation needs all of mtbf, mttr and horizon "
+                "(a service-mode scenario may take the service horizon)"
+            )
         if self.mtbf is not None and self.events:
             raise ValueError(
                 "give either explicit fault events or the mtbf/mttr/horizon "
@@ -264,22 +298,35 @@ class FaultSettings:
         return bool(self.events) or self.mtbf is not None
 
     def resolve(
-        self, config: SimulationConfig
+        self,
+        config: SimulationConfig,
+        cluster: ClusterSpec | None = None,
+        *,
+        default_horizon: float | None = None,
     ) -> tuple[FaultSchedule | None, FaultPolicy | None]:
-        """The concrete (schedule, policy) pair for one resolved config."""
+        """The concrete (schedule, policy) pair for one resolved config.
+
+        A generator without ``num_targets`` covers every core of
+        ``cluster`` for scope ``"core"`` and every node otherwise;
+        ``cluster`` defaults to the one ``config`` builds.  A generator
+        without ``horizon`` runs to ``default_horizon``.
+        """
         if not self.active:
             return None, None
         policy = FaultPolicy(running=self.running, remap=self.remap)
         if self.events:
             return FaultSchedule(self.events), policy
-        num_targets = (
-            self.num_targets
-            if self.num_targets is not None
-            else config.cluster.num_nodes
-        )
+        horizon = self.horizon if self.horizon is not None else default_horizon
+        if horizon is None:
+            raise ValueError("fault generation needs a horizon")
+        num_targets = self.num_targets
+        if num_targets is None:
+            if cluster is None:
+                cluster = build_trial_system(config).cluster
+            num_targets = cluster.num_cores if self.scope == "core" else cluster.num_nodes
         schedule = FaultSchedule.generate(
             num_targets=num_targets,
-            horizon=self.horizon,  # type: ignore[arg-type]
+            horizon=horizon,
             mtbf=self.mtbf,  # type: ignore[arg-type]
             mttr=self.mttr,  # type: ignore[arg-type]
             seed=self.seed if self.seed is not None else config.seed,
@@ -409,6 +456,16 @@ class Scenario:
                 "fault injection and shedding are supported in trial and "
                 "service modes, not ensembles"
             )
+        if (
+            self.faults is not None
+            and self.faults.mtbf is not None
+            and self.faults.horizon is None
+            and self._service_horizon() is None
+        ):
+            raise ValueError(
+                "fault generation needs a horizon: set faults.horizon, or "
+                "a service horizon in service mode"
+            )
 
     # -- the pre-scenario api.Scenario surface --------------------------
 
@@ -439,16 +496,32 @@ class Scenario:
 
     # -- run-shape resolution -------------------------------------------
 
-    def resolved_faults(self) -> tuple[FaultSchedule | None, FaultPolicy | None]:
-        """The concrete fault layer of this scenario (``(None, None)`` if off)."""
+    def _service_horizon(self) -> float | None:
+        """The service horizon a service-mode fault generator falls back to."""
+        if self.mode != "service" or self.service is None:
+            return None
+        return self.service.horizon
+
+    def resolved_faults(
+        self, system: TrialSystem | None = None
+    ) -> tuple[FaultSchedule | None, FaultPolicy | None]:
+        """The concrete fault layer of this scenario (``(None, None)`` if off).
+
+        Default target counts come from ``system``'s cluster (built from
+        the resolved config when not given).
+        """
         if self.faults is None:
             return None, None
-        return self.faults.resolve(self.resolved_config())
+        return self.faults.resolve(
+            self.resolved_config(),
+            None if system is None else system.cluster,
+            default_horizon=self._service_horizon(),
+        )
 
-    def resolved_service(self) -> ServiceConfig:
+    def resolved_service(self, system: TrialSystem | None = None) -> ServiceConfig:
         """The service config with the scenario's fault layer folded in."""
         base = self.service if self.service is not None else ServiceConfig(traffic="replay")
-        schedule, policy = self.resolved_faults()
+        schedule, policy = self.resolved_faults(system)
         if schedule is None and policy is None and self.shedding is None:
             return base
         return replace(

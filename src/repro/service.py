@@ -97,10 +97,11 @@ class ServiceConfig:
     Attributes
     ----------
     traffic:
-        One of :data:`TRAFFIC_MODELS`.  ``"replay"`` streams the batch
-        workload's own tasks (finite, scored, batch-identical); the rest
-        generate open-loop arrivals and need a ``horizon`` and/or
-        ``task_limit`` bound.
+        A registered traffic plugin (builtin: poisson, diurnal, mmpp,
+        burst, replay).  ``replay`` streams the batch workload's own
+        tasks (finite, scored, batch-identical); the rest generate
+        open-loop arrivals and need a ``horizon`` and/or ``task_limit``
+        bound.
     rate_mult:
         Mean arrival rate as a multiple of the equilibrium rate.
     swing:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tomllib
+from dataclasses import replace
 
 import pytest
 
@@ -119,6 +120,84 @@ class TestFaultSettings:
         a, _ = pinned.resolve(tiny_config(seed=42))
         b, _ = pinned.resolve(tiny_config(seed=43))
         assert a.events == b.events
+
+
+    def test_default_slowdown_caps_pstates(self):
+        # A generated slowdown at default settings must cap something: a
+        # floor of 0 forbids no P-state and leaves the run fault-free.
+        from repro.api import run_scenario
+
+        faults = FaultSettings(mtbf=4000.0, mttr=1500.0, horizon=20000.0, scope="slowdown")
+        slowed = Scenario(seed=5, num_tasks=60, faults=faults)
+        schedule, _ = slowed.resolved_faults()
+        assert schedule.events
+        assert all(e.pstate_floor >= 1 for e in schedule.events)
+        assert run_scenario(slowed) != run_scenario(Scenario(seed=5, num_tasks=60))
+
+    def test_core_scope_defaults_to_every_core(self):
+        # The default cluster config draws 8 nodes and 56 cores at seed 5.
+        scenario = Scenario(
+            seed=5,
+            num_tasks=60,
+            faults=FaultSettings(mtbf=200.0, mttr=20.0, horizon=20000.0, scope="core"),
+        )
+        system = scenario.build_system()
+        assert (system.cluster.num_nodes, system.cluster.num_cores) == (8, 56)
+        schedule, _ = scenario.resolved_faults(system)
+        assert {e.target for e in schedule.events} == set(range(56))
+        # Without a prebuilt system the same cluster is built to count cores.
+        assert scenario.resolved_faults()[0] == schedule
+
+    def test_node_scope_defaults_to_every_node(self):
+        config = tiny_config(seed=42)
+        settings = FaultSettings(mtbf=50.0, mttr=5.0, horizon=5000.0)
+        schedule, _ = settings.resolve(config)
+        assert {e.target for e in schedule.events} == set(range(config.cluster.num_nodes))
+
+
+class TestFaultHorizon:
+    def test_service_generator_takes_service_horizon(self):
+        scenario = Scenario(
+            mode="service",
+            service=ServiceConfig(traffic="poisson", horizon=3000.0),
+            faults=FaultSettings(mtbf=500.0, mttr=50.0),
+        )
+        explicit = replace(scenario, faults=FaultSettings(mtbf=500.0, mttr=50.0, horizon=3000.0))
+        system = scenario.build_system()
+        resolved = scenario.resolved_service(system)
+        assert resolved.faults.events
+        assert resolved.faults == explicit.resolved_service(system).faults
+
+    def test_own_horizon_wins_over_service_horizon(self):
+        scenario = Scenario(
+            mode="service",
+            service=ServiceConfig(traffic="poisson", horizon=30000.0),
+            faults=FaultSettings(mtbf=500.0, mttr=50.0, horizon=1000.0),
+        )
+        schedule, _ = scenario.resolved_faults()
+        assert max(e.start for e in schedule.events) < 1000.0
+
+    @pytest.mark.parametrize(
+        "mode, service",
+        [
+            ("trial", None),
+            ("service", None),
+            ("service", ServiceConfig(traffic="poisson", task_limit=100)),
+        ],
+    )
+    def test_generator_without_any_horizon_rejected(self, mode, service):
+        with pytest.raises(ValueError, match="needs a horizon"):
+            Scenario(mode=mode, service=service, faults=FaultSettings(mtbf=500.0, mttr=50.0))
+
+    def test_horizon_needs_the_generator(self):
+        with pytest.raises(ValueError, match="mtbf, mttr and horizon"):
+            FaultSettings(horizon=1000.0)
+        with pytest.raises(ValueError, match="mtbf, mttr and horizon"):
+            FaultSettings(mtbf=500.0, horizon=1000.0)
+
+    def test_standalone_resolve_needs_a_horizon(self):
+        with pytest.raises(ValueError, match="needs a horizon"):
+            FaultSettings(mtbf=500.0, mttr=50.0).resolve(tiny_config())
 
 
 class TestResolvedService:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import api
+from repro.cli import _run_scenario, _scenario_from_args, build_parser, main
+from repro.faults import FaultEvent, FaultSchedule, SheddingConfig
+from repro.io.faults_io import load_faults, save_faults
+from repro.scenario import FaultSettings, Scenario
+from repro.service import ServiceConfig, window_rows
 from repro.experiments.runner import VariantSpec, run_ensemble
 from repro.io.results_io import ensemble_to_dict, save_json
 from tests.conftest import tiny_config
@@ -537,3 +544,156 @@ class TestMonitorCommand:
         path.write_text("")
         with pytest.raises(SystemExit, match="--slo"):
             main(["monitor", str(path), "--slo", "nonsense"])
+
+
+def _subparser(name):
+    import argparse
+
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestScenarioFlags:
+    """The trial/serve flags are generated from the Scenario tree's fields."""
+
+    @pytest.mark.parametrize(
+        "command, cls, prefix",
+        [
+            ("serve", ServiceConfig, ""),
+            ("trial", FaultSettings, "fault-"),
+            ("serve", FaultSettings, "fault-"),
+            ("trial", SheddingConfig, "shed-"),
+            ("serve", SheddingConfig, "shed-"),
+        ],
+    )
+    def test_every_scalar_field_has_one_flag(self, command, cls, prefix):
+        hints = typing.get_type_hints(cls)
+        parser = _subparser(command)
+        scalar = 0
+        for field in dataclasses.fields(cls):
+            kinds = [k for k in typing.get_args(hints[field.name]) or (hints[field.name],)
+                     if k is not type(None)]
+            if not (len(kinds) == 1 and kinds[0] in (bool, int, float, str)):
+                continue
+            scalar += 1
+            flag = f"--{prefix}{field.name}".replace("_", "-")
+            (action,) = [a for a in parser._actions if flag in a.option_strings]
+            assert action.dest == (prefix + field.name).replace("-", "_")
+            assert action.help and action.help.strip(), flag
+            assert action.default == field.default, flag
+        assert scalar >= 5
+
+    def test_renamed_and_new_flags(self):
+        args = build_parser().parse_args(
+            ["trial", "--fault-num-targets", "3", "--no-fault-remap",
+             "--fault-seed", "9", "--shed-policy", "threshold"]
+        )
+        assert args.fault_num_targets == 3
+        assert args.fault_remap is False
+        assert args.fault_seed == 9
+        assert args.shed_policy == "threshold"
+        for retired in (["--fault-targets", "3"], ["--no-remap"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["trial", *retired])
+
+    def test_defaults_build_a_plain_scenario(self):
+        scenario = _scenario_from_args(build_parser().parse_args(["trial"]))
+        assert scenario == Scenario(seed=0, num_tasks=1000)
+        serve = _scenario_from_args(build_parser().parse_args(["serve", "--task-limit", "5"]))
+        assert serve.service == ServiceConfig(task_limit=5)
+        assert serve.faults is None and serve.shedding is None
+
+    def test_tree_validation_reaches_the_flags(self, tmp_path):
+        path = tmp_path / "f.json"
+        save_faults(FaultSchedule((FaultEvent("node_outage", 0, 5.0, 2.0),)), path)
+        for argv, message in [
+            (["--faults", str(path), "--fault-mtbf", "10", "--fault-mttr", "1"], "not both"),
+            (["--fault-mtbf", "10", "--fault-horizon", "100"], "mtbf, mttr and horizon"),
+            (["--fault-mtbf", "10", "--fault-mttr", "1"], "needs a horizon"),
+            (["--fault-scope", "nodes"], "did you mean 'node'"),
+        ]:
+            with pytest.raises(SystemExit, match=message):
+                main(["trial", *TINY, *argv])
+
+
+def _parity_rows(schedule_path):
+    """(argv, hand-built Scenario) pairs that must describe the same run."""
+    base = {"seed": 5, "num_tasks": 60}
+    gen = {"mtbf": 4000.0, "mttr": 1500.0, "horizon": 20000.0}
+    tiny = ["--tasks", "60", "--seed", "5"]
+    events = load_faults(schedule_path).events
+    return [
+        (["trial", *tiny], Scenario(**base)),
+        (
+            ["trial", *tiny, "--fault-mtbf", "4000", "--fault-mttr", "1500",
+             "--fault-horizon", "20000", "--fault-scope", "node"],
+            Scenario(**base, faults=FaultSettings(**gen)),
+        ),
+        (
+            ["trial", *tiny, "-H", "MECT", "--fault-mtbf", "4000", "--fault-mttr", "1500",
+             "--fault-horizon", "20000", "--fault-scope", "core", "--fault-running", "resume"],
+            Scenario("MECT", **base, faults=FaultSettings(**gen, scope="core", running="resume")),
+        ),
+        (
+            ["trial", *tiny, "--fault-mtbf", "4000", "--fault-mttr", "1500",
+             "--fault-horizon", "20000", "--fault-scope", "slowdown"],
+            Scenario(**base, faults=FaultSettings(**gen, scope="slowdown", pstate_floor=1)),
+        ),
+        (
+            ["trial", *tiny, "-F", "en", "--faults", str(schedule_path), "--no-fault-remap"],
+            Scenario(filters="en", **base, faults=FaultSettings(events=events, remap=False)),
+        ),
+        (
+            ["serve", *tiny, "--traffic", "poisson", "--rate-mult", "1.5",
+             "--task-limit", "120", "--budget-rate-mult", "0.8", "--budget-cap", "2e7"],
+            Scenario(**base, mode="service", service=ServiceConfig(
+                traffic="poisson", rate_mult=1.5, task_limit=120,
+                budget_rate_mult=0.8, budget_cap=2e7,
+            )),
+        ),
+        (
+            ["serve", *tiny, "--traffic", "poisson", "--rate-mult", "2", "--horizon", "4000",
+             "--fault-mtbf", "4000", "--fault-mttr", "1500",
+             "--shed-queue-depth", "1", "--shed-defer", "60", "--shed-max-defers", "1"],
+            Scenario(
+                **base,
+                mode="service",
+                service=ServiceConfig(traffic="poisson", rate_mult=2.0, horizon=4000.0),
+                faults=FaultSettings(mtbf=4000.0, mttr=1500.0),
+                shedding=SheddingConfig(queue_depth=1.0, defer=60.0, max_defers=1),
+            ),
+        ),
+    ]
+
+
+class TestFlagFileParity:
+    """A command line and the hand-built Scenario it spells are one run."""
+
+    @pytest.fixture(scope="class")
+    def schedule_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("parity") / "schedule.json"
+        save_faults(
+            FaultSchedule((
+                FaultEvent("node_outage", 2, 300.0, 900.0),
+                FaultEvent("core_outage", 7, 600.0, 400.0),
+                FaultEvent("node_slowdown", 4, 100.0, 2000.0, pstate_floor=3),
+            )),
+            path,
+        )
+        return path
+
+    @pytest.mark.parametrize("row", range(7))
+    def test_flags_and_scenario_agree(self, capsys, schedule_path, row):
+        argv, hand_built = _parity_rows(schedule_path)[row]
+        from_flags = _scenario_from_args(build_parser().parse_args(argv))
+        assert from_flags == hand_built
+        assert from_flags.digest() == hand_built.digest()
+        result = _run_scenario(from_flags, argv[0])
+        expected = api.run_scenario(hand_built)
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(f"(digest {hand_built.digest()[:12]})")
+        if hand_built.mode == "trial":
+            assert result == expected
+        else:
+            assert list(window_rows(result)) == list(window_rows(expected))
